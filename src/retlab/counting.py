@@ -1,9 +1,11 @@
 """Exact counters and combinatorial oracles.
 
-Homomorphism/list-homomorphism/retraction counting by backtracking with
-frontier pruning, a naive enumeration oracle, surjection counts with the
-sandwich bound check, simultaneous rational approximation, and brute-force
-cut counting.  All counts are exact Python integers.
+Homomorphism/list-homomorphism/retraction counting by a frontier DP over
+a maximum-cardinality-search order, in O(n |H|^(f+1)) for an n-vertex
+instance whose frontier never exceeds f vertices, whatever the count; a
+naive enumeration oracle, surjection counts with the sandwich bound check,
+simultaneous rational approximation, and brute-force cut counting.  All
+counts are exact Python integers.
 
 Lists file format: lines `l <v> *` (full list) or `l <v> <h1> <h2> ...`;
 vertices without a record default to the full list.
@@ -11,7 +13,9 @@ vertices without a record default to the full list.
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
+from operator import itemgetter
 
 from .graph_core import _norm, connected_components
 
@@ -33,25 +37,6 @@ def _validate_instance(g, lists, h):
         for x in s:
             if not 0 <= x < h.n:
                 raise ValueError("list of vertex %d mentions invalid target %r" % (v, x))
-
-
-def _order_vertices(g):
-    """A connected (BFS) elimination order covering every component."""
-    seen = [False] * g.n
-    order = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in sorted(g.neighbours(u)):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order
 
 
 def count_list_homs(g, lists, h):
@@ -87,66 +72,163 @@ def count_weighted_list_homs(g, lists, h, weights):
     return _count(g, lists, h, weights=list(weights))
 
 
-def _count(g, lists, h, weights):
-    order = _order_vertices(g)
-    position = {v: i for i, v in enumerate(order)}
-    # For each vertex, the already-placed neighbours to constrain against.
-    back = [
-        [u for u in g.neighbours(v) if position[u] < position[v]] for v in order
-    ]
+def _count(g, lists, h, weights, order=None):
+    """Frontier DP over a maximum-cardinality-search (MCS) order.
+
+    Pinned (singleton-list) vertices are placed first, in id order: their
+    images are fixed, so each only narrows its neighbours' lists.  The rest
+    follow in MCS order: the next vertex is an unplaced one with the most
+    placed neighbours, ties going to the lower id.  The table maps the
+    images of the frontier (unpinned placed vertices with an unplaced
+    neighbour) to the number, or weight sum, of list homomorphisms of the
+    placed vertices that extend them.  A vertex whose neighbours are all
+    placed never enters the frontier: it is folded in as the factor
+    |allowed| (or the sum of its weights).  Costs O(n |H|^(f+1)) for
+    frontier width f.  When `order` is a list, the placed vertices are
+    appended to it; it stops short when the count is found to be 0.
+    """
+    if not all(lists):
+        return 0
     adj = h._adj
-    image = [0] * g.n
-
-    def rec(i):
-        if i == len(order):
-            return 1
-        v = order[i]
-        allowed = lists[v]
-        for u in back[i]:
-            allowed = allowed & adj[image[u]]
-            if not allowed:
-                return 0
-        total = 0
-        if weights is None:
-            for x in allowed:
-                image[v] = x
-                total += rec(i + 1)
+    n = g.n
+    nbrs = g._adj
+    allowed = list(lists)
+    left = [len(s) for s in nbrs]  # unplaced neighbours
+    # Heap entries are ints ordered like (-placed neighbours, id); a stale
+    # entry pops after its vertex's newest one and is skipped as placed.
+    score = [0] * n
+    state = [0] * n  # 0 unplaced, 1 pinned, 2 placed by the DP
+    factor = 1
+    for p, s in enumerate(lists):
+        if len(s) != 1:
+            continue
+        state[p] = 1
+        if order is not None:
+            order.append(p)
+        (x,) = allowed[p]  # narrowed by earlier pins, so never empty here
+        if weights is not None:
+            factor *= weights[x]
+        near = adj[x]
+        for w in nbrs[p]:
+            left[w] -= 1
+            if not state[w]:
+                allowed[w] = allowed[w] & near
+                if not allowed[w]:
+                    return 0
+                score[w] -= n
+    heap = [score[v] + v for v in range(n) if score[v] and not state[v]]
+    heapify(heap)
+    seeds = iter(range(n))
+    frontier = []
+    table = {(): factor}
+    while True:
+        if heap:
+            v = heappop(heap) % n
+            if state[v]:
+                continue
+        else:  # a new component
+            v = next(seeds, None)
+            if v is None:
+                return table[()]
+            if state[v]:
+                continue
+        state[v] = 2
+        if order is not None:
+            order.append(v)
+        where = []
+        gone = False
+        for w in nbrs[v]:
+            if state[w] == 2:
+                where.append(frontier.index(w))
+                left[v] -= 1
+                left[w] -= 1
+                gone = gone or not left[w]
+            elif not state[w]:
+                score[w] -= n
+                heappush(heap, score[w] + w)
+        if gone:
+            keep = [i for i, u in enumerate(frontier) if left[u]]
+            frontier = [frontier[i] for i in keep]
+            project = _projection(keep)
         else:
-            for x in allowed:
-                image[v] = x
-                total += weights[x] * rec(i + 1)
-        return total
+            project = None
+        stays = left[v] > 0
+        if stays:
+            frontier.append(v)
+        own = allowed[v]
+        new = {}
+        get = new.get
+        for key, c in table.items():
+            allowed_v = own
+            for i in where:
+                allowed_v = allowed_v & adj[key[i]]
+            if not allowed_v:
+                continue
+            if project is not None:
+                key = project(key)
+            if stays:
+                for x in allowed_v:
+                    k = key + (x,)
+                    new[k] = get(k, 0) + (c if weights is None else c * weights[x])
+            else:
+                f = len(allowed_v) if weights is None else sum(weights[x] for x in allowed_v)
+                new[key] = get(key, 0) + c * f
+        if not new:
+            return 0
+        table = new
 
-    return rec(0)
+
+def _projection(keep):
+    """The map from a table key to the tuple of its entries at `keep`."""
+    if len(keep) > 1:
+        return itemgetter(*keep)
+    if keep:
+        i = keep[0]
+        return lambda key: (key[i],)
+    return lambda key: ()
 
 
 def iter_list_homs(g, lists, h):
     """Yield every list homomorphism as a tuple indexed by instance vertex.
 
-    Same backtracking core as count_list_homs; deterministic order.
+    Depth-first over the counter's MCS order, with an explicit stack, so
+    deep instances need no recursion; the order is deterministic.  The
+    counter runs first, so an instance with no list homomorphism costs
+    only its DP.
     """
     _validate_instance(g, lists, h)
-    order = _order_vertices(g)
-    position = {v: i for i, v in enumerate(order)}
-    back = [
-        [u for u in g.neighbours(v) if position[u] < position[v]] for v in order
-    ]
+    order = []
+    if not _count(g, lists, h, None, order):
+        return
+    if not order:
+        yield ()
+        return
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    back = [[u for u in g.neighbours(v) if position[u] < i] for i, v in enumerate(order)]
     adj = h._adj
     image = [0] * g.n
+    last = len(order) - 1
 
-    def rec(i):
-        if i == len(order):
-            yield tuple(image)
-            return
-        v = order[i]
-        allowed = lists[v]
+    def candidates(i):
+        allowed = lists[order[i]]
         for u in back[i]:
             allowed = allowed & adj[image[u]]
-        for x in sorted(allowed):
-            image[v] = x
-            yield from rec(i + 1)
+        return iter(sorted(allowed))
 
-    yield from rec(0)
+    stack = [candidates(0)]
+    while stack:
+        depth = len(stack) - 1
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+        else:
+            image[order[depth]] = x
+            if depth == last:
+                yield tuple(image)
+            else:
+                stack.append(candidates(depth + 1))
 
 
 def naive_count(g, lists, h, budget=NAIVE_BUDGET):

@@ -1,9 +1,9 @@
 """Graph families, counting-reduction gadgets, and their exact verification.
 
 Everything here is desk-scale: each gadget identity is checked by exact
-integer counting (the generic backtracking counter or explicit
-enumeration serves as the oracle; the closed-form side is the claim
-under test).  Dominance certificates use exact rational arithmetic.
+integer counting (the generic frontier-DP counter, which costs
+O(n |H|^(f+1)) for frontier width f, or explicit enumeration serves as
+the oracle; the closed-form side is the claim under test).  Dominance certificates use exact rational arithmetic.
 
 Type conventions: a "type" of a homomorphism from the four-layer gadget
 J(p, q, t) is the triple (image of A, matched image pairs of (B, B'),

@@ -7,6 +7,7 @@ net / long reflexive cycle), the clique-chain-with-bristles recognizer,
 and the triangle-extended cycle/path recognizer.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -81,9 +82,9 @@ def girth(h):
     for s in range(h.n):
         dist = {s: 0}
         parent = {s: None}
-        queue = [s]
+        queue = deque([s])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in h.neighbours(u):
                 if w == u:
                     continue
@@ -154,9 +155,9 @@ def _two_colour(h):
         if colour[s] is not None:
             continue
         colour[s] = 0
-        queue = [s]
+        queue = deque([s])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in h.neighbours(u):
                 if w == u:
                     return None

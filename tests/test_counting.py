@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from retlab.graph_core import graph
+from retlab.cli import main
+from retlab.graph_core import graph, serialize_graph
 from retlab.counting import (
     StirlingPreconditionError,
     check_stirling_bounds,
@@ -87,6 +89,109 @@ def test_counter_agrees_with_naive(rnd):
         frozenset(v for v in range(h.n) if rnd.random() < 0.7) for _ in range(g.n)
     ]
     assert count_list_homs(g, lists, h) == naive_count(g, lists, h)
+
+
+@st.composite
+def list_instances(draw, max_g=6, max_h=4):
+    """Instances with isolated vertices, several components, and empty,
+    singleton or larger lists."""
+    gn = draw(st.integers(0, max_g))
+    hn = draw(st.integers(1, max_h))
+    g_pairs = [(u, v) for u in range(gn) for v in range(u + 1, gn)]
+    h_pairs = [(a, b) for a in range(hn) for b in range(a, hn)]
+    g_edges = draw(st.lists(st.sampled_from(g_pairs), unique=True)) if g_pairs else []
+    h_edges = draw(st.lists(st.sampled_from(h_pairs), unique=True))
+    lists = draw(
+        st.lists(st.frozensets(st.integers(0, hn - 1)), min_size=gn, max_size=gn)
+    )
+    weights = draw(st.lists(st.integers(0, 5), min_size=hn, max_size=hn))
+    return graph(gn, g_edges), lists, graph(hn, h_edges), weights
+
+
+def brute_homs(g, lists, h):
+    return [
+        image
+        for image in product(*[sorted(s) for s in lists])
+        if all(h.has_edge(image[u], image[v]) for u, v in g.edges)
+    ]
+
+
+# two components, an isolated vertex, a singleton and an empty list
+SPLIT = (
+    graph(5, [(0, 1), (2, 3)]),
+    [frozenset({0}), frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}), frozenset({2})],
+    graph(3, [(0, 0), (0, 1), (1, 2)]),
+    [2, 3, 5],
+)
+EMPTY_LIST = (SPLIT[0], SPLIT[1][:4] + [frozenset()], SPLIT[2], SPLIT[3])
+
+
+@given(list_instances())
+@example(SPLIT)
+@example(EMPTY_LIST)
+@settings(max_examples=150, deadline=None)
+def test_counts_and_enumeration_agree_with_brute_force(instance):
+    g, lists, h, weights = instance
+    homs = brute_homs(g, lists, h)
+    assert count_list_homs(g, lists, h) == naive_count(g, lists, h) == len(homs)
+    assert count_weighted_list_homs(g, lists, h, weights) == sum(
+        math.prod(weights[x] for x in image) for image in homs
+    )
+    enumerated = list(iter_list_homs(g, lists, h))
+    assert sorted(enumerated) == homs
+
+
+@given(list_instances(max_g=9), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_counts_invariant_under_relabelling(instance, rnd):
+    g, lists, h, weights = instance
+    p = list(range(g.n))
+    q = list(range(h.n))
+    rnd.shuffle(p)
+    rnd.shuffle(q)
+    g2 = graph(g.n, [(p[u], p[v]) for u, v in g.edges])
+    h2 = graph(h.n, [(q[a], q[b]) for a, b in h.edges])
+    lists2 = [None] * g.n
+    for v, s in enumerate(lists):
+        lists2[p[v]] = frozenset(q[x] for x in s)
+    weights2 = [None] * h.n
+    for x, w in enumerate(weights):
+        weights2[q[x]] = w
+    assert count_list_homs(g2, lists2, h2) == count_list_homs(g, lists, h)
+    assert count_weighted_list_homs(g2, lists2, h2, weights2) == (
+        count_weighted_list_homs(g, lists, h, weights)
+    )
+
+
+LOOPED_K1 = graph(1, [(0, 0)])
+HARD_CORE = graph(2, [(0, 0), (0, 1)])
+
+
+def path(n):
+    return graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_deep_path_into_looped_vertex():
+    p = path(1500)
+    lists = full_lists(p, LOOPED_K1)
+    assert count_list_homs(p, lists, LOOPED_K1) == 1
+    assert list(iter_list_homs(p, lists, LOOPED_K1)) == [(0,) * 1500]
+
+
+def test_deep_path_into_looped_vertex_cli(tmp_path, capsys):
+    g = tmp_path / "p1500.graph"
+    h = tmp_path / "k1.graph"
+    g.write_text(serialize_graph(path(1500)))
+    h.write_text(serialize_graph(LOOPED_K1))
+    assert main(["count", "--mode", "hom", str(g), str(h)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_long_path_into_hard_core_is_fibonacci():
+    fib = [0, 1]
+    while len(fib) <= 202:
+        fib.append(fib[-1] + fib[-2])
+    assert count_homs(path(200), HARD_CORE) == fib[202]
 
 
 def test_stirling_small_values():
