@@ -5,14 +5,16 @@ component is trivial (a reflexive clique or an irreflexive complete
 bipartite graph), BIS when every component is trivial, a clique chain
 with bristles, or an irreflexive caterpillar (and some component is
 non-trivial), SAT otherwise.  Non-square-free targets are classified
-only when the easy case applies (all components trivial, or all
-trivial-or-chain with one non-trivial); anything else is UNKNOWN.
+only when the easy case applies: FP when every component is trivial,
+BIS when every component is trivial or a clique chain with bristles
+(any number of them), and UNKNOWN otherwise.
 
 For hard square-free components a best-effort structural witness is
 attached, searched in a fixed ladder: mixed triangle, looped star with
 three independent looped leaves, net, long reflexive cycle, a degree-2
 bristle configuration, and finally a hard neighbourhood-ball shape.
-The witness is explanatory only and may be absent.
+The witness is explanatory only, may be absent, and names vertices of
+the whole target.
 """
 
 from dataclasses import dataclass
@@ -68,14 +70,10 @@ def _find_hard_neighbourhood(hc):
     for b in sorted(hc.loops()):
         ball = neighbourhood(hc, b)
         sub, _ = induced_subgraph(hc, ball)
-        if len(connected_components(sub)) != 1:
-            continue
-        shape = classify_component_shape(sub)
-        if shape.trivial or shape.irreflexive_caterpillar:
-            continue
-        if recognize_hbis(sub) is not None:
-            continue
-        return StructuralWitness(HARD_NEIGHBOURHOOD, ball)
+        # Connected: b is adjacent to the whole ball.  False keeps the
+        # witness ladder from recursing into the ball.
+        if classify_component(sub, False)[0] == HARD:
+            return StructuralWitness(HARD_NEIGHBOURHOOD, ball)
     return None
 
 
@@ -120,6 +118,11 @@ def classify(h):
     for comp in connected_components(h):
         sub, _ = induced_subgraph(h, comp)
         tag, witness = classify_component(sub, square_free)
+        if witness is not None:
+            ids = sorted(comp)  # the relabelling induced_subgraph applied
+            witness = StructuralWitness(
+                witness.tag, frozenset(ids[v] for v in witness.vertices)
+            )
         reasons.append((comp, tag, witness))
         tags.append(tag)
     easy = {TRIVIAL, HBIS, CATERPILLAR}

@@ -25,10 +25,13 @@ from .graph_core import (
 from .counting import (
     count_list_homs,
     count_weighted_list_homs,
+    cut_edges,
     full_lists,
     iter_list_homs,
+    separating_functions,
     stirling2,
 )
+from .structure import universal_vertices
 
 MAX_TYPE_VERTICES = 16
 
@@ -190,9 +193,9 @@ def is_nonempty_type(t, j, target):
     return True
 
 
-def _closed_sets(h):
-    """Non-empty vertex sets fixed by applying the common-neighbourhood
-    operator twice (and whose common neighbourhood is non-empty)."""
+def _cn_operator(h):
+    """The common-neighbourhood operator on vertex bitmasks of h; the
+    empty mask maps to every vertex."""
     masks = [0] * h.n
     for v in range(h.n):
         for u in h.neighbours(v):
@@ -208,6 +211,13 @@ def _closed_sets(h):
             m &= m - 1
         return out
 
+    return cn
+
+
+def _closed_sets(h):
+    """Non-empty vertex sets fixed by applying the common-neighbourhood
+    operator twice (and whose common neighbourhood is non-empty)."""
+    cn = _cn_operator(h)
     closed = []
     for mask in range(1, 1 << h.n):
         first = cn(mask)
@@ -491,6 +501,44 @@ def _report(name, params, lhs, rhs, extra_ok=True, details=()):
 # pinning gadgets
 
 
+def _gadget_instance(g, lists, h, apexes=(), hub=None, s=0):
+    """g extended by the pinned vertices of a reduction, with its lists.
+
+    Each entry of apexes adds one vertex joined to all of g and pinned to
+    that entry.  A hub adds one vertex pinned to it plus s helpers per
+    vertex of g, each joined to its vertex and to the hub vertex.  New
+    vertices are numbered apexes first, then the hub, then the helpers
+    (vertex by vertex); non-singleton lists of g widen to all of V(h).
+    """
+    n = g.n
+    edges = list(g.edges)
+    everything = frozenset(range(h.n))
+    lists2 = [lst if len(lst) == 1 else everything for lst in lists]
+    for w, x in enumerate(apexes, start=n):
+        edges += [(w, v) for v in range(n)]
+        lists2.append(frozenset({x}))
+    nxt = n + len(apexes)
+    if hub is not None:
+        pin = nxt
+        lists2.append(frozenset({hub}))
+        nxt += 1
+        for v in range(n):
+            for _ in range(s):
+                edges.extend([(nxt, v), (nxt, pin)])
+                nxt += 1
+        lists2.extend([everything] * (nxt - pin - 1))
+    return graph(nxt, edges), lists2
+
+
+def _count_inside(g, lists, h, vertices):
+    """List homomorphisms from g into the subgraph of h induced by
+    vertices; the lists use the vertex ids of h."""
+    sub, relabel = induced_subgraph(h, vertices)
+    return count_list_homs(
+        g, [frozenset(relabel[x] for x in s) for s in lists], sub
+    )
+
+
 def _check_pin_lists(lists, allowed):
     for v, s in enumerate(lists):
         if len(s) != 1 and s != allowed:
@@ -501,6 +549,16 @@ def _check_pin_lists(lists, allowed):
             raise ValueError("list of vertex %d leaves the ball" % v)
 
 
+def _verify_pins(name, params, h, pins, g, lists):
+    """Apexes pinned to each of pins and joined to all of g restrict every
+    image to the common neighbourhood of pins."""
+    ball = common_neighbours(h, pins)
+    _check_pin_lists(lists, ball)
+    lhs = _count_inside(g, lists, h, ball)
+    rhs = count_list_homs(*_gadget_instance(g, lists, h, apexes=pins), h)
+    return _report(name, params, lhs, rhs)
+
+
 def verify_pin_neighbourhood(h, u, g, lists):
     """One apex joined to all of g and pinned to u restricts every image
     to the neighbourhood of u; both counts must agree exactly.
@@ -508,41 +566,21 @@ def verify_pin_neighbourhood(h, u, g, lists):
     The lists use the vertex ids of h and must each be a singleton or
     all of the neighbourhood of u.
     """
-    ball = neighbourhood(h, u)
-    _check_pin_lists(lists, ball)
-    sub, relabel = induced_subgraph(h, ball)
-    lhs = count_list_homs(
-        g, [frozenset(relabel[x] for x in s) for s in lists], sub
+    return _verify_pins(
+        "pin-neighbourhood", [("u", u), ("n", g.n)], h, [u], g, lists
     )
-    apex = g.n
-    g2 = graph(g.n + 1, list(g.edges) + [(apex, v) for v in range(g.n)])
-    everything = frozenset(range(h.n))
-    lists2 = [s if len(s) == 1 else everything for s in lists]
-    lists2.append(frozenset({u}))
-    rhs = count_list_homs(g2, lists2, h)
-    return _report("pin-neighbourhood", [("u", u), ("n", g.n)], lhs, rhs)
 
 
 def verify_two_pin(h, b1, b2, g, lists):
     """Two apexes pinned to b1 and b2 and joined to all of g restrict
-    every image to the common neighbourhood of b1 and b2."""
-    ball = common_neighbours(h, [b1, b2])
-    if ball:
-        _check_pin_lists(lists, ball)
-        sub, relabel = induced_subgraph(h, ball)
-        lhs = count_list_homs(
-            g, [frozenset(relabel[x] for x in s) for s in lists], sub
-        )
-    else:
-        lhs = 0 if g.n else 1
-    w1, w2 = g.n, g.n + 1
-    edges = list(g.edges) + [(w, v) for w in (w1, w2) for v in range(g.n)]
-    g2 = graph(g.n + 2, edges)
-    everything = frozenset(range(h.n))
-    lists2 = [s if len(s) == 1 else everything for s in lists]
-    lists2 += [frozenset({b1}), frozenset({b2})]
-    rhs = count_list_homs(g2, lists2, h)
-    return _report("two-pin", [("b1", b1), ("b2", b2), ("n", g.n)], lhs, rhs)
+    every image to the common neighbourhood of b1 and b2.
+
+    The lists follow verify_pin_neighbourhood, with that common
+    neighbourhood as the ball.
+    """
+    return _verify_pins(
+        "two-pin", [("b1", b1), ("b2", b2), ("n", g.n)], h, [b1, b2], g, lists
+    )
 
 
 def verify_boost_decomposition(hp, b, r1, g, lists, s):
@@ -564,18 +602,7 @@ def verify_boost_decomposition(hp, b, r1, g, lists, s):
         if not (lst == pair or (len(lst) == 1 and lst <= pair)):
             raise ValueError("list of vertex %d must live on the pair" % v)
     n = g.n
-    pin = n
-    edges = list(g.edges)
-    nxt = n + 1
-    for v in range(n):
-        for _ in range(s):
-            edges.extend([(nxt, v), (nxt, pin)])
-            nxt += 1
-    g2 = graph(nxt, edges)
-    everything = frozenset(range(hp.n))
-    lists2 = [lst if len(lst) == 1 else everything for lst in lists]
-    lists2.append(frozenset({r1}))
-    lists2.extend([everything] * (nxt - n - 1))
+    g2, lists2 = _gadget_instance(g, lists, hp, hub=r1, s=s)
 
     z_full = z_rest = 0
     for h in iter_list_homs(g2, lists2, hp):
@@ -583,11 +610,7 @@ def verify_boost_decomposition(hp, b, r1, g, lists, s):
             z_full += 1
         else:
             z_rest += 1
-    sub, relabel = induced_subgraph(hp, pair)
-    target = count_list_homs(
-        g, [frozenset(relabel[x] for x in lst) for lst in lists], sub
-    )
-    rhs = 2 ** (s * n) * target
+    rhs = 2 ** (s * n) * _count_inside(g, lists, hp, pair)
     total = count_list_homs(g2, lists2, hp)
     return _report(
         "boost",
@@ -623,16 +646,11 @@ def verify_degree2_bristle(h, b, g_vertex, g, lists):
         e += 1
     s = 2 * e
 
-    keep = sorted(ball - {g_vertex})
-    relabel = {v: i for i, v in enumerate(keep)}
+    kept, relabel = induced_subgraph(h, ball - {g_vertex})
     blow = len(gamma_g) ** s
-    hp_edges = [
-        (relabel[u], relabel[v])
-        for u, v in h.edges
-        if u in relabel and v in relabel
-    ]
-    hp_edges += [(relabel[b], len(keep) + i) for i in range(blow)]
-    hp = graph(len(keep) + blow, hp_edges)
+    hp_edges = list(kept.edges)
+    hp_edges += [(relabel[b], kept.n + i) for i in range(blow)]
+    hp = graph(kept.n + blow, hp_edges)
 
     core = frozenset(relabel)
     for v, lst in enumerate(lists):
@@ -645,20 +663,9 @@ def verify_degree2_bristle(h, b, g_vertex, g, lists):
     ]
     rhs = count_list_homs(g, lists_hp, hp)
 
-    n = g.n
-    beta, gam = n, n + 1
-    edges = list(g.edges) + [(beta, v) for v in range(n)]
-    nxt = n + 2
-    for v in range(n):
-        for _ in range(s):
-            edges.extend([(nxt, v), (nxt, gam)])
-            nxt += 1
-    g2 = graph(nxt, edges)
-    everything = frozenset(range(h.n))
-    lists2 = [lst if len(lst) == 1 else everything for lst in lists]
-    lists2 += [frozenset({b}), frozenset({g_vertex})]
-    lists2 += [everything] * (nxt - n - 2)
-    lhs = count_list_homs(g2, lists2, h)
+    lhs = count_list_homs(
+        *_gadget_instance(g, lists, h, apexes=[b], hub=g_vertex, s=s), h
+    )
 
     # Weighted cross-check over the un-blown ball.
     sub, sub_relabel = induced_subgraph(h, ball)
@@ -673,7 +680,7 @@ def verify_degree2_bristle(h, b, g_vertex, g, lists):
     weighted = count_weighted_list_homs(g, lists_sub, sub, weights)
     return _report(
         "degree2-bristle",
-        [("b", b), ("g", g_vertex), ("n", n), ("s", s)],
+        [("b", b), ("g", g_vertex), ("n", g.n), ("s", s)],
         lhs,
         rhs,
         extra_ok=(weighted == rhs),
@@ -800,8 +807,6 @@ def verify_wr3_zphi(hb, b, g, terminals, s, t):
     """For every separating function phi, the number of full
     homomorphisms agreeing with phi must equal the closed form
     surj(s, 2^k+2)^n * (2^k)^(t |Cut|) * (2^k+2)^(t (m - |Cut|))."""
-    from .counting import separating_functions, cut_edges
-
     dec = decompose_ball(hb, b)
     inst = build_wr3_instance(g, terminals, dec, s, t)
     k = dec.k
@@ -867,8 +872,6 @@ def verify_net_zphi(h, w_labels, g, terminals, sizes):
     """Per separating function phi, the count with every g-vertex pinned
     to its colour must equal 3^{tm} * prod_i (|Gamma(w_i)|/3)^{t_i |Mon_i|},
     and the unpinned total must equal the sum over phi."""
-    from .counting import separating_functions
-
     j, lists, _ = build_net_instance(g, terminals, h, w_labels, sizes)
     t = sum(sizes)
     m = len(g.edges)
@@ -1033,12 +1036,6 @@ def verify_cycle_gadget(h, core, ell):
 # the two-dominant-state criterion
 
 
-def universal_set(h):
-    return frozenset(
-        v for v in range(h.n) if neighbourhood(h, v) == frozenset(range(h.n))
-    )
-
-
 def check_kelk_condition(h):
     """Exhaustive test of the two-dominant-state criterion.
 
@@ -1049,24 +1046,10 @@ def check_kelk_condition(h):
     """
     if h.n > MAX_TYPE_VERTICES:
         raise ValueError("graph too large for exhaustive pair scan")
-    f = universal_set(h)
+    f = universal_vertices(h)
     if not f or len(f) == h.n:
         raise ValueError("universal set must be proper and non-empty")
-    masks = [0] * h.n
-    for v in range(h.n):
-        for u in h.neighbours(v):
-            masks[v] |= 1 << u
-    everything = (1 << h.n) - 1
-
-    def cn(mask):
-        out = everything
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            out &= masks[v]
-            m &= m - 1
-        return out
-
+    cn = _cn_operator(h)
     fmask = 0
     for v in f:
         fmask |= 1 << v

@@ -155,10 +155,13 @@ def classify_assignment(dec, sigma):
     order = vertex_order(dec)
     rank = {u: i for i, u in enumerate(order)}
     p = dec.path_vertices
-    for v in order:
-        if sigma == path_assignment(dec, v):
-            return AssignmentKind("path", vertex=v)
     variables = order[1:]
+    # In rank order a path assignment reads 1^k 0^(m-k); its vertex is
+    # order[k].
+    values = [sigma[u] for u in variables]
+    k = values.count(1)
+    if values == [1] * k + [0] * (len(values) - k):
+        return AssignmentKind("path", vertex=order[k])
     ones = [u for u in variables if sigma[u] == 1]
     zeros = [u for u in variables if sigma[u] == 0]
     if not ones or not zeros:

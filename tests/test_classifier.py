@@ -53,6 +53,9 @@ def test_verdicts_bis():
         assert classify(h).cls == "BIS"
     # fig4 has squares; the easy non-square-free case still applies
     assert classify(fig4()).cls == "BIS"
+    # ... and to any number of clique-chain components
+    v = classify(disjoint_union(fig4(), fig3_right()))
+    assert v.cls == "BIS" and [tag for _, tag, _ in v.reasons] == ["Hbis", "Hbis"]
 
 
 def test_verdicts_sat():
@@ -93,6 +96,8 @@ def test_bis_hbis_components_encode():
 
 
 def test_witnesses_revalidate():
+    """Each witness names vertices of h whose induced subgraph the
+    finder of its tag recognises as a whole."""
     finders = {
         "MixedTriangle21": find_mixed_triangle,
         "MixedTriangle12": find_mixed_triangle,
@@ -100,10 +105,70 @@ def test_witnesses_revalidate():
         "InducedNet": find_induced_net,
         "ReflexiveCycleGe5": find_induced_reflexive_cycle,
     }
-    for h in (make_net(), make_wr(3), reflexive_cycle(5), fig15()):
-        for _, tag, witness in classify(h).reasons:
-            if witness is not None and witness.tag in finders:
-                assert finders[witness.tag](h) is not None
+    targets = (
+        make_net(), make_wr(3), reflexive_cycle(5), fig15(),
+        graph(3, [(0, 0), (1, 1), (0, 1), (1, 2), (0, 2)]),
+        disjoint_union(reflexive_clique(2), make_net()),
+        disjoint_union(star(2), make_wr(3), reflexive_cycle(6)),
+    )
+    seen = 0
+    for h in targets:
+        for comp, _, witness in classify(h).reasons:
+            if witness is None:
+                continue
+            assert witness.vertices <= comp
+            sub, _ = induced_subgraph(h, witness.vertices)
+            found = finders[witness.tag](sub)
+            assert found.tag == witness.tag
+            assert found.vertices == frozenset(range(sub.n))
+            seen += 1
+    assert seen == 8
+
+
+# (target, tag, (witness tag, witness vertices)): one or more targets
+# per rung of the witness ladder, so that no rung can move unnoticed.
+WITNESS_TABLE = [
+    (make_x_graph(1, 0, 1), "Hard", ("HardNeighbourhood", {0, 1, 2, 3})),
+    (make_x_graph(1, 1, 0), "Hard", ("HardNeighbourhood", {0, 1, 2})),
+    (make_x_graph(2, 2, 0), "Hard", ("HardNeighbourhood", {0, 1, 2, 3, 4})),
+    (make_x_graph(3, 1, 1), "Hard", ("HardNeighbourhood", set(range(7)))),
+    (make_x_graph(5, 0, 2), "Hard", ("HardNeighbourhood", set(range(10)))),
+    (fig3_left(), "Hard", ("HardNeighbourhood", {0, 1, 2, 3, 4})),
+    (reflexive_p3_with_bristles(3), "Hard", ("HardNeighbourhood", set(range(6)))),
+    # the ball of 0 is a reflexive P3 (a chain); the ball of 1 is hard
+    (graph(6, [(0, 0), (1, 1), (2, 2), (5, 5), (0, 1), (1, 2), (1, 3), (1, 4), (0, 5)]),
+     "Hard", ("HardNeighbourhood", {0, 1, 2, 3, 4})),
+    (graph(3, [(0, 0), (2, 2), (0, 1), (1, 2)]), "Hard", ("Degree2Bristle", {0, 1})),
+    (graph(3, [(0, 0), (1, 1), (0, 1), (1, 2), (0, 2)]), "Hard", ("MixedTriangle21", {0, 1, 2})),
+    (graph(3, [(0, 0), (0, 1), (1, 2), (0, 2)]), "Hard", ("MixedTriangle12", {0, 1, 2})),
+    (make_net(), "Hard", ("InducedNet", set(range(6)))),
+    (make_wr(3), "Hard", ("InducedWR3", {0, 1, 2, 3})),
+    (make_wr(4), "Hard", ("InducedWR3", {0, 1, 2, 3})),
+    (reflexive_cycle(5), "Hard", ("ReflexiveCycleGe5", set(range(5)))),
+    (reflexive_cycle(6), "Hard", ("ReflexiveCycleGe5", set(range(6)))),
+    (fig15(), "Hard", ("ReflexiveCycleGe5", set(range(5)))),
+    (fig3_right(), "Hbis", None),
+    (make_triangle_extended("path", 4, [0, 2]), "Hbis", None),
+]
+
+
+@pytest.mark.parametrize("h, tag, witness", WITNESS_TABLE)
+def test_witness_ladder_table(h, tag, witness):
+    ((_, got_tag, got),) = classify(h).reasons
+    assert got_tag == tag
+    if witness is None:
+        assert got is None
+    else:
+        assert (got.tag, got.vertices) == (witness[0], frozenset(witness[1]))
+
+
+def test_witnesses_use_global_ids():
+    # the net is the second component, on vertices 2..7
+    v = classify(disjoint_union(reflexive_clique(2), make_net()))
+    (_, tag0, w0), (comp, tag1, w1) = v.reasons
+    assert (tag0, w0) == ("Trivial", None)
+    assert comp == frozenset(range(2, 8)) and tag1 == "Hard"
+    assert (w1.tag, w1.vertices) == ("InducedNet", frozenset(range(2, 8)))
 
 
 def test_bristle_monotonicity():

@@ -29,7 +29,7 @@ from retlab.gadget_lab import (
     verify_wr3_zphi,
 )
 
-from conftest import reflexive_cycle
+from conftest import irreflexive_path, reflexive_cycle
 
 
 # -- graph families ---------------------------------------------------------
@@ -238,6 +238,17 @@ def test_two_pin_fixed_instance():
     g = graph(2, [(0, 1)])
     report = verify_two_pin(h, 2, 3, g, [cn, cn])
     assert report.passed
+
+
+def test_two_pin_empty_common_neighbourhood():
+    h = irreflexive_path(4)  # 0 and 3 share no neighbour
+    report = verify_two_pin(h, 0, 3, graph(0, []), [])
+    assert report.passed and (report.lhs, report.rhs) == (1, 1)
+    g = graph(2, [(0, 1)])
+    report = verify_two_pin(h, 0, 3, g, [frozenset(), frozenset()])
+    assert report.passed and (report.lhs, report.rhs) == (0, 0)
+    with pytest.raises(ValueError):
+        verify_two_pin(h, 0, 3, graph(1, []), [frozenset({1})])
 
 
 def test_boost_requires_pendant_triangle_shape():

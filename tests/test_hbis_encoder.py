@@ -3,6 +3,7 @@ import pytest
 from retlab.graph_core import graph, is_isomorphic
 from retlab.structure import recognize_hbis
 from retlab.hbis_encoder import (
+    AssignmentKind,
     EncodingError,
     build_hve,
     build_instances,
@@ -65,6 +66,7 @@ def test_path_and_bristle_assignments_satisfy_iv():
     sats = satisfying_assignments(iv)
     for v in vertex_order(dec):
         assert path_assignment(dec, v) in sats
+        assert classify_assignment(dec, path_assignment(dec, v)) == AssignmentKind("path", vertex=v)
     # the four bristles at the first joint
     found = [s for s in sats if classify_assignment(dec, s).kind == "bristle"]
     assert len(found) == 7
@@ -94,6 +96,18 @@ def test_random_round_trips(rng):
         h, _ = random_hbis(rng)
         proof = verify_hbis_encoding(h)
         assert proof.hve.n == h.n
+        # path assignments are recognised exactly as a search over
+        # path_assignment would find them
+        dec = proof.decomposition
+        order = vertex_order(dec)
+        noise = [{u: rng.randint(0, 1) for u in order[1:]} for _ in range(20)]
+        for sigma in list(proof.assignments) + noise:
+            ref = [v for v in order if sigma == path_assignment(dec, v)]
+            kind = classify_assignment(dec, sigma)
+            if ref:
+                assert kind == AssignmentKind("path", vertex=ref[0])
+            else:
+                assert kind.kind != "path"
 
 
 def test_serialize_csp_is_deterministic():
