@@ -27,6 +27,7 @@ from .structure import (
     find_induced_reflexive_cycle,
     find_induced_wr3,
     find_mixed_triangle,
+    is_degree2_bristle,
     is_square_free,
     recognize_hbis,
 )
@@ -47,19 +48,11 @@ class ClassVerdict:
 
 
 def _find_degree2_bristle(hc):
-    """A looped vertex b with an unlooped neighbour g of degree >= 2 such
-    that every other ball member shares exactly one neighbour with g."""
+    """The first looped vertex b and neighbour g, in id order, that form a
+    degree-2 bristle."""
     for b in sorted(hc.loops()):
-        ball = neighbourhood(hc, b)
-        for g in sorted(ball):
-            if hc.is_looped(g):
-                continue
-            gamma_g = neighbourhood(hc, g)
-            if len(gamma_g) < 2:
-                continue
-            if all(
-                len(neighbourhood(hc, u) & gamma_g) == 1 for u in ball - {g}
-            ):
+        for g in sorted(neighbourhood(hc, b)):
+            if is_degree2_bristle(hc, b, g):
                 return StructuralWitness(DEGREE2_BRISTLE, frozenset({b, g}))
     return None
 

@@ -26,12 +26,11 @@ from .counting import (
     count_list_homs,
     count_weighted_list_homs,
     cut_edges,
-    full_lists,
     iter_list_homs,
     separating_functions,
     stirling2,
 )
-from .structure import universal_vertices
+from .structure import is_degree2_bristle, universal_vertices
 
 MAX_TYPE_VERTICES = 16
 
@@ -285,12 +284,18 @@ def nhat(t, p, q, tt):
 
 
 def count_type(t, j, target, budget=10**6):
-    """Exact number of homomorphisms from j.graph to target of type t,
-    by enumeration."""
+    """Exact number of homomorphisms from j.graph to target of type t, by
+    enumerating those that map A, B, B' and A' into T1, the B-side, the
+    B'-side and T3 and keeping the ones of type t."""
     if target.n ** j.graph.n > budget:
         raise ValueError("instance too large to enumerate")
+    lists = [None] * j.graph.n
+    sides = ((j.a, t.t1), (j.b, t.b_side), (j.b2, t.b2_side), (j.a2, t.t3))
+    for layer, side in sides:
+        for v in layer:
+            lists[v] = side
     total = 0
-    for h in iter_list_homs(j.graph, full_lists(j.graph, target), target):
+    for h in iter_list_homs(j.graph, lists, target):
         if htype_of(h, j, target) == t:
             total += 1
     return total
@@ -629,17 +634,10 @@ def verify_degree2_bristle(h, b, g_vertex, g, lists):
     size s.  Both counts must agree exactly; a weighted recount
     cross-checks the blow-up.
     """
+    if not is_degree2_bristle(h, b, g_vertex):
+        raise ValueError("vertex %d is not a degree-2 bristle on %d" % (g_vertex, b))
     gamma_g = neighbourhood(h, g_vertex)
     ball = neighbourhood(h, b)
-    if h.is_looped(g_vertex) or not h.is_looped(b):
-        raise ValueError("need a looped center with an unlooped neighbour")
-    if g_vertex not in ball or len(gamma_g) < 2:
-        raise ValueError("the unlooped vertex needs at least two neighbours")
-    for u in ball - {g_vertex}:
-        if len(neighbourhood(h, u) & gamma_g) != 1:
-            raise ValueError(
-                "vertex %d shares more than the center with the pendant" % u
-            )
     # smallest exponent e with |Gamma(g)|^e >= |Gamma(b)|, doubled
     e = 0
     while len(gamma_g) ** e < len(ball):

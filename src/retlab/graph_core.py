@@ -66,10 +66,9 @@ def common_neighbours(h, vertices):
     vertices = list(vertices)
     if not vertices:
         raise ValueError("common_neighbours of an empty set is undefined")
-    result = set(neighbourhood(h, vertices[0]))
-    for v in vertices[1:]:
-        result &= neighbourhood(h, v)
-    return frozenset(result)
+    return neighbourhood(h, vertices[0]).intersection(
+        *(neighbourhood(h, v) for v in vertices[1:])
+    )
 
 
 def distance_k_neighbourhood(h, v, k):

@@ -3,8 +3,25 @@
 Square-freeness (a square is a 4-cycle on distinct vertices, induced or
 not), girth (loops ignored), component shape facets, induced-subgraph
 witnesses (mixed triangle / looped star with 3 independent looped leaves /
-net / long reflexive cycle), the clique-chain-with-bristles recognizer,
-and the triangle-extended cycle/path recognizer.
+net / long reflexive cycle), the degree-2 bristle condition, the
+clique-chain-with-bristles recognizer, and the triangle-extended
+cycle/path recognizer.
+
+No function here recurses, so input size is bounded by memory, not by
+the interpreter's recursion limit.  For n vertices, m edges and maximum
+degree D:
+
+- the triangle scan behind the mixed-triangle and net finders visits
+  each edge once and each of its upper neighbours once, O(m·D) set
+  operations instead of the n^3/6 vertex triples;
+- `recognize_hbis` builds each maximal clique of the looped core once,
+  from an edge no clique covers yet, and gives up as soon as a vertex
+  would lie in a third clique: O(n log n + m);
+- `find_induced_reflexive_cycle` is a depth-first search over induced
+  paths with an explicit stack, O(length) per extension step;
+- `recognize_triangle_extended` tries the apex sets that leave at most
+  three candidates in the core, O(c^3) sets for c candidates, each
+  matched in O(n + m + q^2 log q) for a core of q vertices.
 """
 
 from collections import deque
@@ -135,7 +152,7 @@ def classify_component_shape(h):
     caterpillar = False
     if irreflexive and len(h.edges) == h.n - 1:  # connected and acyclic
         spine = [v for v in range(h.n) if len(h.neighbours(v)) >= 2]
-        caterpillar = _is_path_set(h, spine)
+        caterpillar = _path_order(_induced_nbrs(h, spine)) is not None
 
     return ComponentShape(
         reflexive=reflexive,
@@ -169,40 +186,60 @@ def _two_colour(h):
     return colour
 
 
-def _is_path_set(h, vertices):
-    """True iff the given vertices induce a simple path (or are empty /
-    a single vertex) inside h."""
-    if len(vertices) <= 1:
-        return True
-    vs = set(vertices)
-    degs = [len((h.neighbours(v) & vs) - {v}) for v in vertices]
-    ends = [v for v, d in zip(vertices, degs) if d == 1]
-    mids = [v for v, d in zip(vertices, degs) if d == 2]
-    if len(ends) != 2 or len(ends) + len(mids) != len(vertices):
-        return False
-    # Connectivity along the path.
-    start = ends[0]
+def _walk(nbrs, start):
+    """The walk from start that always steps to the smallest unvisited
+    neighbour, as a list; nbrs maps each vertex to its neighbour set.  On
+    a path that starts at start, or on a cycle, it visits every vertex;
+    callers compare its length with the vertex count."""
+    seq = [start]
     seen = {start}
-    cur = start
     while True:
-        nxt = [w for w in h.neighbours(cur) if w in vs and w not in seen and w != cur]
-        if not nxt:
-            break
-        cur = nxt[0]
-        seen.add(cur)
-    return len(seen) == len(vertices)
+        options = nbrs[seq[-1]] - seen
+        if not options:
+            return seq
+        seq.append(min(options))
+        seen.add(seq[-1])
+
+
+def _path_order(nbrs):
+    """The vertices of nbrs (a map to neighbour sets without loops) in
+    path order from the smaller end, or None when they do not form a
+    simple path.  No vertex or one vertex is a path."""
+    if len(nbrs) <= 1:
+        return list(nbrs)
+    ends = sorted(v for v, s in nbrs.items() if len(s) == 1)
+    if len(ends) != 2 or any(len(s) > 2 for s in nbrs.values()):
+        return None
+    seq = _walk(nbrs, ends[0])
+    return seq if len(seq) == len(nbrs) else None
+
+
+def _induced_nbrs(h, vertices):
+    """Each vertex's neighbours among the given vertices, loops dropped."""
+    vs = set(vertices)
+    return {v: (h.neighbours(v) & vs) - {v} for v in vertices}
+
+
+def _triangles(h, vertices):
+    """The triangles a < b < c of h on the given vertices, in
+    lexicographic order."""
+    vs = set(vertices)
+    for a in sorted(vs):
+        up = {w for w in h.neighbours(a) if w > a and w in vs}
+        for b in sorted(up):
+            for c in sorted(w for w in h.neighbours(b) & up if w > b):
+                yield a, b, c
 
 
 def find_mixed_triangle(h):
     """A triangle with exactly two looped vertices (tag MixedTriangle21) or
     exactly one (tag MixedTriangle12), or None."""
-    for a, b, c in combinations(range(h.n), 3):
-        if h.has_edge(a, b) and h.has_edge(b, c) and h.has_edge(a, c):
-            k = sum(1 for v in (a, b, c) if h.is_looped(v))
-            if k == 2:
-                return StructuralWitness(MIXED_TRIANGLE_21, frozenset({a, b, c}))
-            if k == 1:
-                return StructuralWitness(MIXED_TRIANGLE_12, frozenset({a, b, c}))
+    for a, b, c in _triangles(h, range(h.n)):
+        k = sum(1 for v in (a, b, c) if h.is_looped(v))
+        if k == 2:
+            return StructuralWitness(MIXED_TRIANGLE_21, frozenset({a, b, c}))
+        if k == 1:
+            return StructuralWitness(MIXED_TRIANGLE_12, frozenset({a, b, c}))
     return None
 
 
@@ -226,9 +263,7 @@ def find_induced_net(h):
     """Six looped vertices: a reflexive triangle w1,w2,w3 plus one looped
     pendant per corner, induced; or None."""
     loops = sorted(h.loops())
-    for w1, w2, w3 in combinations(loops, 3):
-        if not (h.has_edge(w1, w2) and h.has_edge(w2, w3) and h.has_edge(w1, w3)):
-            continue
+    for w1, w2, w3 in _triangles(h, loops):
         tri = {w1, w2, w3}
         pend = []
         for w in (w1, w2, w3):
@@ -254,6 +289,17 @@ def find_induced_net(h):
     return None
 
 
+def is_degree2_bristle(h, b, g):
+    """True iff b is looped, g is an unlooped neighbour of b with at least
+    two neighbours, and every other member of b's ball (b included) shares
+    exactly one neighbour with g."""
+    ball = neighbourhood(h, b)
+    gamma_g = neighbourhood(h, g)
+    if not h.is_looped(b) or h.is_looped(g) or g not in ball or len(gamma_g) < 2:
+        return False
+    return all(len(h.neighbours(u) & gamma_g) == 1 for u in ball - {g})
+
+
 def find_induced_reflexive_cycle(h, min_len=5):
     """An induced cycle of length >= min_len with every vertex looped, or
     None."""
@@ -261,48 +307,33 @@ def find_induced_reflexive_cycle(h, min_len=5):
         raise ValueError("min_len must be at least 3")
     loops = sorted(h.loops())
     loopset = set(loops)
-
-    def extend(path, inpath):
-        s = path[0]
-        last = path[-1]
-        for w in sorted(h.neighbours(last)):
-            if w <= s or w not in loopset or w in inpath:
-                continue
-            nbrs = h.neighbours(w)
-            if any(p in nbrs for p in path[1:-1]):
-                continue
-            if len(path) >= 2 and s in nbrs:
-                if len(path) + 1 >= min_len:
-                    return path + [w]
-                continue  # cannot pass through w without creating a chord
-            found = extend(path + [w], inpath | {w})
-            if found:
-                return found
-        return None
-
+    # Depth-first over induced looped paths s = path[0] < every other
+    # vertex; stack[i] iterates the candidate successors of path[i].
     for s in loops:
-        found = extend([s], {s})
-        if found:
-            return StructuralWitness(REFLEXIVE_CYCLE_GE5, frozenset(found))
+        path = [s]
+        inpath = {s}
+        stack = [iter(sorted(h.neighbours(s)))]
+        while stack:
+            for w in stack[-1]:
+                if w <= s or w not in loopset or w in inpath:
+                    continue
+                nbrs = h.neighbours(w)
+                if any(p in nbrs for p in path[1:-1]):
+                    continue
+                if len(path) >= 2 and s in nbrs:
+                    if len(path) + 1 >= min_len:
+                        return StructuralWitness(
+                            REFLEXIVE_CYCLE_GE5, frozenset(path + [w])
+                        )
+                    continue  # cannot pass through w without creating a chord
+                path.append(w)
+                inpath.add(w)
+                stack.append(iter(sorted(nbrs)))
+                break
+            else:
+                stack.pop()
+                inpath.discard(path.pop())
     return None
-
-
-def _maximal_cliques(vertices, adj):
-    """All maximal cliques of the simple graph on `vertices` given by
-    adjacency sets `adj` (self-adjacency ignored)."""
-    result = []
-
-    def bron_kerbosch(r, p, x):
-        if not p and not x:
-            result.append(frozenset(r))
-            return
-        for v in sorted(p):
-            bron_kerbosch(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    bron_kerbosch(set(), set(vertices), set())
-    return result
 
 
 def recognize_hbis(h):
@@ -329,43 +360,44 @@ def recognize_hbis(h):
         if t not in loops:
             return None
         attach[w] = t
-    core = sorted(loops)
-    if len(core) < 3:
+    if len(loops) < 3:
         return None
-    adj = {v: (h.neighbours(v) & loops) - {v} for v in core}
-    cliques = _maximal_cliques(core, adj)
+    # In a chain each core edge uv lies in exactly one maximal clique,
+    # the looped common neighbourhood of u and v, and each looped vertex
+    # in at most two.  Build each clique once from an edge no clique
+    # covers yet; any failure of these facts rules the chain out.
+    cliques = []
+    member = {v: [] for v in loops}  # looped vertex -> indices of its cliques
+    for u in sorted(loops):
+        uncovered = (h.neighbours(u) & loops) - {u}
+        for i in member[u]:
+            uncovered -= cliques[i]
+        while uncovered:
+            k = h.neighbours(u) & h.neighbours(min(uncovered)) & loops
+            if not all(k <= h.neighbours(w) for w in k):
+                return None
+            for w in k:
+                if len(member[w]) == 2:
+                    return None
+                member[w].append(len(cliques))
+            cliques.append(k)
+            uncovered -= k
     if len(cliques) < 2:
         return None
     # The clique intersection graph must be a path with single-vertex
     # consecutive intersections and empty non-consecutive intersections.
-    links = {i: [] for i in range(len(cliques))}
-    for i, j in combinations(range(len(cliques)), 2):
-        inter = cliques[i] & cliques[j]
-        if len(inter) > 1:
-            return None
-        if inter:
-            links[i].append(j)
-            links[j].append(i)
-    ends = [i for i in links if len(links[i]) == 1]
-    if len(ends) != 2 or any(len(v) > 2 for v in links.values()):
+    links = {i: set() for i in range(len(cliques))}
+    for pair in member.values():
+        if len(pair) == 2:
+            i, j = pair
+            if j in links[i]:
+                return None  # two cliques share two vertices
+            links[i].add(j)
+            links[j].add(i)
+    chain = _path_order(links)
+    if chain is None:
         return None
-    chain = [min(ends)]
-    while True:
-        nxt = [j for j in links[chain[-1]] if len(chain) < 2 or j != chain[-2]]
-        if not nxt:
-            break
-        chain.append(nxt[0])
-    if len(chain) != len(cliques):
-        return None  # the intersection graph is disconnected
     ordered = [cliques[i] for i in chain]
-    # Non-consecutive cliques must be disjoint (checked above via size<=1 and
-    # the path shape: any non-consecutive intersection would add a link).
-    # Every looped edge must live inside some clique (true for maximal
-    # cliques of the core by construction) -- verify anyway.
-    for u, v in h.edges:
-        if u in loops and v in loops and u != v:
-            if not any(u in k and v in k for k in ordered):
-                return None
 
     best = None
     for seq in (ordered, ordered[::-1]):
@@ -469,21 +501,14 @@ def recognize_triangle_extended(h):
         nbrs = sorted(h.neighbours(v) - {v})
         if len(nbrs) == 2 and h.has_edge(nbrs[0], nbrs[1]):
             candidates.append(v)
-    subsets = []
-    for r in range(len(candidates) + 1):
-        subsets.extend(combinations(candidates, r))
-    subsets.sort(key=lambda s: (len(s), s))
-    for apexes in subsets:
+    # A candidate left in the core has two adjacent neighbours, so it is a
+    # vertex of a triangle core or an end of a path core: at most three
+    # stay, and smaller apex sets cannot match.
+    sizes = range(max(len(candidates) - 3, 0), len(candidates) + 1)
+    for apexes in (a for r in sizes for a in combinations(candidates, r)):
         # Each apex consumes one core edge; apex edges must be distinct.
-        edges_used = set()
-        ok = True
-        for d in apexes:
-            e = tuple(sorted(h.neighbours(d) - {d}))
-            if e in edges_used or any(x in apexes for x in e):
-                ok = False
-                break
-            edges_used.add(e)
-        if not ok:
+        edges = {h.neighbours(d) - {d} for d in apexes}
+        if len(edges) < len(apexes) or any(e & set(apexes) for e in edges):
             continue
         core = sorted(set(range(h.n)) - set(apexes))
         dec = _match_core(h, core, apexes)
@@ -493,66 +518,19 @@ def recognize_triangle_extended(h):
 
 
 def _match_core(h, core, apexes):
-    coreset = set(core)
-    deg = {v: len((h.neighbours(v) - {v}) & coreset) for v in core}
-    m = sum(deg.values()) // 2
-    if len(core) == 0:
+    if not core:
         return None
-    if len(core) == 1:
-        seq = list(core)
-        kind = "path"
-    elif all(d == 2 for d in deg.values()) and m == len(core) and len(core) >= 3:
+    nbrs = _induced_nbrs(h, core)
+    if all(len(s) == 2 for s in nbrs.values()):
         kind = "cycle"
-        seq = _walk_cycle(h, core, coreset)
-        if seq is None:
-            return None
+        seq = _walk(nbrs, core[0])
     else:
-        ends = [v for v in core if deg[v] == 1]
-        if len(ends) != 2 or m != len(core) - 1 or any(
-            d not in (1, 2) for d in deg.values()
-        ):
-            return None
         kind = "path"
-        seq = _walk_path(h, ends[0], coreset)
-        if seq is None or len(seq) != len(core):
-            return None
+        seq = _path_order(nbrs)
+    if seq is None or len(seq) != len(core):
+        return None
     # Attach apexes to core edges and canonicalize.
     return _canonical_tec(h, kind, seq, apexes)
-
-
-def _walk_cycle(h, core, coreset):
-    start = min(core)
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = sorted(w for w in (h.neighbours(cur) - {cur}) & coreset if w != prev)
-        if not nxt:
-            return None
-        step = nxt[0]
-        if step == start:
-            break
-        prev, cur = cur, step
-        seq.append(cur)
-        if len(seq) > len(core):
-            return None
-    if len(seq) != len(core):
-        return None
-    return seq
-
-
-def _walk_path(h, start, coreset):
-    seq = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in (h.neighbours(cur) - {cur}) & coreset if w != prev]
-        if not nxt:
-            return seq
-        if len(nxt) > 1:
-            return None
-        prev, cur = cur, nxt[0]
-        seq.append(cur)
 
 
 def _canonical_tec(h, kind, seq, apexes):

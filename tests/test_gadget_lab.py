@@ -86,18 +86,21 @@ def test_htype_rejects_non_homs():
 
 
 def test_types_partition_all_homs():
-    h = make_x_graph(1, 0, 1)
-    j = make_j_graph(1, 1, 1)
-    by_type = {}
-    for hom in iter_list_homs(j.graph, full_lists(j.graph, h), h):
-        t = htype_of(hom, j, h)
-        by_type[t] = by_type.get(t, 0) + 1
-    assert sum(by_type.values()) == count_homs(j.graph, h)
-    for t in by_type:
-        assert is_nonempty_type(t, j, h)
-    # spot-check three exact per-type counts against the enumerator
-    for t in list(by_type)[:3]:
-        assert count_type(t, j, h) == by_type[t]
+    for h, pqt in (
+        (make_x_graph(1, 0, 1), (1, 1, 1)),
+        (make_x_graph(1, 1, 1), (1, 1, 1)),
+        (make_x_graph(1, 0, 1), (1, 2, 1)),
+    ):
+        j = make_j_graph(*pqt)
+        by_type = {}
+        for hom in iter_list_homs(j.graph, full_lists(j.graph, h), h):
+            t = htype_of(hom, j, h)
+            by_type[t] = by_type.get(t, 0) + 1
+        assert sum(by_type.values()) == count_homs(j.graph, h)
+        for t in by_type:
+            assert is_nonempty_type(t, j, h)
+            # every per-type count against the full enumeration
+            assert count_type(t, j, h) == by_type[t]
 
 
 def test_maximal_types_match_printed_tables():

@@ -43,8 +43,11 @@ def test_common_neighbours():
     assert common_neighbours(h, [0, 1]) == {0, 1, 2, 3}
     p = graph(3, [(0, 1), (1, 2)])
     assert common_neighbours(p, [0, 2]) == {1}
+    assert common_neighbours(p, iter([1])) == {0, 2}
     with pytest.raises(ValueError):
         common_neighbours(p, [])
+    with pytest.raises(ValueError):
+        common_neighbours(p, [0, 3])
 
 
 def test_distance_k_walk_semantics():
