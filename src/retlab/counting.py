@@ -2,8 +2,9 @@
 
 Homomorphism/list-homomorphism/retraction counting by a frontier DP over
 a maximum-cardinality-search order, in O(n |H|^(f+1)) for an n-vertex
-instance whose frontier never exceeds f vertices, whatever the count; a
-naive enumeration oracle, surjection counts with the sandwich bound check,
+instance whose frontier never exceeds f vertices, whatever the count;
+enumeration by `graph_core.search` over the same order; a naive
+enumeration oracle, surjection counts with the sandwich bound check,
 simultaneous rational approximation, and brute-force cut counting.  All
 counts are exact Python integers.
 
@@ -17,7 +18,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import itemgetter
 
-from .graph_core import _norm, connected_components
+from .graph_core import _norm, connected_components, search
 
 NAIVE_BUDGET = 10**7
 
@@ -191,44 +192,26 @@ def _projection(keep):
 def iter_list_homs(g, lists, h):
     """Yield every list homomorphism as a tuple indexed by instance vertex.
 
-    Depth-first over the counter's MCS order, with an explicit stack, so
-    deep instances need no recursion; the order is deterministic.  The
-    counter runs first, so an instance with no list homomorphism costs
-    only its DP.
+    `graph_core.search` over the counter's MCS order, each vertex taking
+    the sorted members of its list adjacent to its placed neighbours'
+    images; the order is deterministic.  The counter runs first, so an
+    instance with no list homomorphism costs only its DP.
     """
     _validate_instance(g, lists, h)
     order = []
     if not _count(g, lists, h, None, order):
         return
-    if not order:
-        yield ()
-        return
-    position = [0] * g.n
-    for i, v in enumerate(order):
-        position[v] = i
+    position = {v: i for i, v in enumerate(order)}
     back = [[u for u in g.neighbours(v) if position[u] < i] for i, v in enumerate(order)]
     adj = h._adj
-    image = [0] * g.n
-    last = len(order) - 1
 
-    def candidates(i):
+    def candidates(i, image):
         allowed = lists[order[i]]
         for u in back[i]:
             allowed = allowed & adj[image[u]]
         return iter(sorted(allowed))
 
-    stack = [candidates(0)]
-    while stack:
-        depth = len(stack) - 1
-        x = next(stack[-1], None)
-        if x is None:
-            stack.pop()
-        else:
-            image[order[depth]] = x
-            if depth == last:
-                yield tuple(image)
-            else:
-                stack.append(candidates(depth + 1))
+    yield from search(order, candidates)
 
 
 def naive_count(g, lists, h, budget=NAIVE_BUDGET):

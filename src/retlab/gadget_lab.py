@@ -33,6 +33,8 @@ from .counting import (
 from .structure import is_degree2_bristle, universal_vertices
 
 MAX_TYPE_VERTICES = 16
+# count_type refuses a (target, J) pair with more than this many maps.
+TYPE_COUNT_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +285,11 @@ def nhat(t, p, q, tt):
     )
 
 
-def count_type(t, j, target, budget=10**6):
+def count_type(t, j, target):
     """Exact number of homomorphisms from j.graph to target of type t, by
     enumerating those that map A, B, B' and A' into T1, the B-side, the
     B'-side and T3 and keeping the ones of type t."""
-    if target.n ** j.graph.n > budget:
+    if target.n ** j.graph.n > TYPE_COUNT_BUDGET:
         raise ValueError("instance too large to enumerate")
     lists = [None] * j.graph.n
     sides = ((j.a, t.t1), (j.b, t.b_side), (j.b2, t.b2_side), (j.a2, t.t3))
@@ -1037,10 +1039,10 @@ def verify_cycle_gadget(h, core, ell):
 def check_kelk_condition(h):
     """Exhaustive test of the two-dominant-state criterion.
 
-    Returns (True, None) when every mutually-covering pair (S, T) either
-    touches the universal set F or satisfies |S||T| < |F||V|; otherwise
-    (False, (S, T)) with a counterexample.  Requires a proper non-empty
-    universal set.
+    Returns (True, None) when every mutually-covering pair (S, T) has
+    S = F or T = F for the universal set F, or satisfies |S||T| < |F||V|;
+    otherwise (False, (S, T)) with a counterexample.  Requires a proper
+    non-empty universal set.
     """
     if h.n > MAX_TYPE_VERTICES:
         raise ValueError("graph too large for exhaustive pair scan")

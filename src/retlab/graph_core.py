@@ -3,6 +3,9 @@
 Graphs are finite and undirected; loops are allowed (an edge whose two
 endpoints coincide), multi-edges are not.  Vertices are dense 0-based
 integers.  All values are immutable; every operation is a pure function.
+`search` is the package's one depth-first search, on an explicit stack:
+list-homomorphism enumeration, implication-CSP solutions and
+`is_isomorphic` all run on it, and no function in retlab recurses.
 
 Text format (UTF-8, one record per line):
     n <vertex_count>         first non-comment line
@@ -11,6 +14,7 @@ Text format (UTF-8, one record per line):
 Serialization emits edges sorted by (min, max) endpoint.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -71,18 +75,6 @@ def common_neighbours(h, vertices):
     )
 
 
-def distance_k_neighbourhood(h, v, k):
-    """All u reachable from v by a walk on exactly k edges (loops count)."""
-    if not 0 <= v < h.n:
-        raise ValueError("vertex %d out of range" % v)
-    if k < 1:
-        raise ValueError("k must be positive")
-    frontier = {v}
-    for _ in range(k):
-        frontier = set().union(*(h.neighbours(u) for u in frontier)) if frontier else set()
-    return frozenset(frontier)
-
-
 def induced_subgraph(h, vertices):
     """Subgraph induced by a vertex set, relabeled 0..|U|-1.
 
@@ -126,11 +118,38 @@ def _iso_key(h, v):
     return (len(nbrs), h.is_looped(v), tuple(profile))
 
 
+def search(order, candidates):
+    """Depth-first over order[0], order[1], ..., a permutation of the slots
+    0..len(order)-1: slot order[i] takes each value of the iterator
+    `candidates(i, image)`, `image` holding the earlier slots' values, and
+    each full image is yielded as a tuple (() once for an empty order).
+    One iterator per placed slot sits on a stack, so depth costs no recursion.
+    """
+    if not order:
+        yield ()
+        return
+    image = [0] * len(order)
+    last = len(order) - 1
+    stack = [candidates(0, image)]
+    while stack:
+        depth = len(stack) - 1
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+        else:
+            image[order[depth]] = x
+            if depth == last:
+                yield tuple(image)
+            else:
+                stack.append(candidates(depth + 1, image))
+
+
 def is_isomorphic(h1, h2):
     """A loop- and edge-preserving bijection V(h1) -> V(h2), or None.
 
-    Backtracking with (degree, loop-flag, neighbour-degree-multiset)
-    pruning; intended for desk-scale graphs (<= ~32 vertices).
+    The first map `search` finds, with (degree, loop-flag,
+    neighbour-degree-multiset) pruning; intended for desk-scale graphs
+    (<= ~32 vertices) and free of recursion at any size.
     """
     if h1.n != h2.n or len(h1.edges) != len(h2.edges):
         return None
@@ -139,39 +158,26 @@ def is_isomorphic(h1, h2):
     if sorted(keys1) != sorted(keys2):
         return None
     # Assign rarest invariant classes first.
-    freq = {}
-    for k in keys1:
-        freq[k] = freq.get(k, 0) + 1
+    freq = Counter(keys1)
     order = sorted(range(h1.n), key=lambda v: (freq[keys1[v]], v))
-    candidates = [
-        [u for u in range(h2.n) if keys2[u] == keys1[v]] for v in range(h1.n)
-    ]
-    mapping = {}
-    used = set()
+    pool = [[u for u in range(h2.n) if keys2[u] == keys1[v]] for v in range(h1.n)]
 
-    def extend(i):
-        if i == len(order):
-            return True
+    def candidates(i, image):
+        # u is unused, matches v's loop and sees exactly v's mapped neighbours.
         v = order[i]
-        for u in candidates[v]:
-            if u in used:
-                continue
-            ok = True
-            for w, x in mapping.items():
-                if h1.has_edge(v, w) != h2.has_edge(u, x):
-                    ok = False
-                    break
-            if ok and h1.is_looped(v) == h2.is_looped(u):
-                mapping[v] = u
-                used.add(u)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(u)
-        return False
+        placed = order[:i]
+        used = {image[w] for w in placed}
+        mapped = {image[w] for w in h1.neighbours(v).intersection(placed)}
+        return (
+            u
+            for u in pool[v]
+            if u not in used
+            and h1.is_looped(v) == h2.is_looped(u)
+            and h2.neighbours(u) & used == mapped
+        )
 
-    if extend(0):
-        return dict(mapping)
+    for image in search(order, candidates):
+        return {v: image[v] for v in order}
     return None
 
 

@@ -6,15 +6,18 @@ constraint (u, v) means "x_u implies x_v".  Two instances are built: a
 vertex instance (its satisfying assignments are the vertices of the
 reconstruction graph) and an edge instance (its constraints drive the
 adjacency rule).  The reconstruction must be isomorphic to the input,
-via the explicit path/bristle-assignment bijection.
+via the explicit path/bristle-assignment bijection.  Assignments and the
+isomorphism re-check both come from `graph_core.search`, without recursion.
 
 CSP serialization: lines `var <name>` then `imp <x> <y>`.
 """
 
 from dataclasses import dataclass
 
-from .graph_core import Graph, is_isomorphic
+from .graph_core import Graph, is_isomorphic, search
 from .structure import recognize_hbis
+
+MAX_CSP_VARIABLES = 30
 
 
 @dataclass(frozen=True)
@@ -93,32 +96,29 @@ def build_instances(dec):
     )
 
 
-def satisfying_assignments(inst, budget=30):
+def satisfying_assignments(inst):
     """All satisfying assignments, in lexicographic order (variables in
-    instance order, value 0 before 1).  Backtracking with early pruning."""
+    instance order, value 0 before 1), found by `graph_core.search`."""
     variables = inst.variables
-    if len(variables) > budget:
+    if len(variables) > MAX_CSP_VARIABLES:
         raise ValueError("too many variables (%d) to enumerate" % len(variables))
     pos = {x: i for i, x in enumerate(variables)}
-    # Check each constraint as soon as its later variable gets a value.
-    pending = [[] for _ in variables]
+    # Earlier x_j bounds x_i from below if x_j -> x_i, above if x_i -> x_j.
+    below = [[] for _ in variables]
+    above = [[] for _ in variables]
     for u, v in inst.constraints:
         i, j = pos[u], pos[v]
-        pending[max(i, j)].append((i, j))
-    values = [0] * len(variables)
-    out = []
+        if i < j:
+            below[j].append(i)
+        elif j < i:
+            above[i].append(j)
 
-    def rec(i):
-        if i == len(variables):
-            out.append(dict(zip(variables, values)))
-            return
-        for val in (0, 1):
-            values[i] = val
-            if all(values[a] <= values[b] for a, b in pending[i]):
-                rec(i + 1)
+    def candidates(i, values):
+        lo = any(values[j] for j in below[i])
+        hi = all(values[j] for j in above[i])
+        return iter(range(lo, hi + 1))
 
-    rec(0)
-    return out
+    return [dict(zip(variables, values)) for values in search(range(len(variables)), candidates)]
 
 
 def path_assignment(dec, v):
@@ -180,7 +180,7 @@ def classify_assignment(dec, sigma):
     return AssignmentKind("other")
 
 
-def build_hve(iv, ie, budget=30):
+def build_hve(iv, ie):
     """Graph on the satisfying assignments of the vertex instance; two
     assignments (possibly equal, yielding a loop) are adjacent iff every
     edge-instance constraint (x, y) has sigma(x) <= sigma'(y) and
@@ -190,7 +190,7 @@ def build_hve(iv, ie, budget=30):
     """
     if iv.variables != ie.variables:
         raise ValueError("vertex and edge instances must share variables")
-    assignments = satisfying_assignments(iv, budget=budget)
+    assignments = satisfying_assignments(iv)
     cons = sorted(ie.constraints)
     edges = set()
     for i, s1 in enumerate(assignments):

@@ -11,6 +11,7 @@ No function here recurses, so input size is bounded by memory, not by
 the interpreter's recursion limit.  For n vertices, m edges and maximum
 degree D:
 
+- `find_square` counts the paths u-w-v to later v, O(sum of deg^2);
 - the triangle scan behind the mixed-triangle and net finders visits
   each edge once and each of its upper neighbours once, O(m·D) set
   operations instead of the n^3/6 vertex triples;
@@ -78,10 +79,17 @@ class TriangleExtendedDecomposition:
 def find_square(h):
     """A 4-cycle on distinct vertices as a (not necessarily induced)
     subgraph, or None.  Loops are irrelevant."""
-    for u, v in combinations(range(h.n), 2):
-        shared = (h.neighbours(u) & h.neighbours(v)) - {u, v}
-        if len(shared) >= 2:
-            a, b = sorted(shared)[:2]
+    for u in range(h.n):
+        paths = {}
+        for w in h.neighbours(u):
+            if w != u:
+                for v in h.neighbours(w):
+                    if v > u and v != w:
+                        paths[v] = paths.get(v, 0) + 1
+        twice = [v for v, c in paths.items() if c >= 2]
+        if twice:
+            v = min(twice)
+            a, b = sorted((h.neighbours(u) & h.neighbours(v)) - {u, v})[:2]
             return StructuralWitness(SQUARE, frozenset({u, a, v, b}))
     return None
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 from itertools import product
@@ -176,6 +177,8 @@ def test_deep_path_into_looped_vertex():
     lists = full_lists(p, LOOPED_K1)
     assert count_list_homs(p, lists, LOOPED_K1) == 1
     assert list(iter_list_homs(p, lists, LOOPED_K1)) == [(0,) * 1500]
+    # a generator function, so that a traced run can count what it yields
+    assert inspect.isgeneratorfunction(iter_list_homs)
 
 
 def test_deep_path_into_looped_vertex_cli(tmp_path, capsys):

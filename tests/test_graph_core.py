@@ -1,3 +1,7 @@
+import random
+import sys
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,12 +10,12 @@ from retlab.graph_core import (
     common_neighbours,
     connected_components,
     disjoint_union,
-    distance_k_neighbourhood,
     graph,
     induced_subgraph,
     is_isomorphic,
     neighbourhood,
     parse_graph,
+    search,
     serialize_graph,
 )
 
@@ -48,14 +52,6 @@ def test_common_neighbours():
         common_neighbours(p, [])
     with pytest.raises(ValueError):
         common_neighbours(p, [0, 3])
-
-
-def test_distance_k_walk_semantics():
-    p = graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert distance_k_neighbourhood(p, 0, 2) == {0, 2}
-    # a loop lets a walk stall
-    lp = graph(2, [(0, 0), (0, 1)])
-    assert distance_k_neighbourhood(lp, 0, 2) == {0, 1}
 
 
 def test_induced_subgraph_relabels():
@@ -116,3 +112,59 @@ def test_isomorphism_invariant_under_relabeling(n, rnd):
     rnd.shuffle(perm)
     h2 = graph(n, [(perm[u], perm[v]) for u, v in h.edges])
     assert is_isomorphic(h, h2) is not None
+
+
+def test_search_order_and_empty_order():
+    assert list(search([], None)) == [()]
+    # slot 1 is placed first; slot 0 then takes the values above it
+    def candidates(i, image):
+        return iter(range(2) if i == 0 else range(image[1] + 1, 3))
+
+    assert list(search([1, 0], candidates)) == [(1, 0), (2, 0), (2, 1)]
+
+
+def _is_isomorphism(h1, h2, m):
+    """m is a bijection taking edges (loops included) to edges, and the
+    two graphs have as many edges."""
+    return (
+        sorted(m) == list(range(h1.n))
+        and sorted(m.values()) == list(range(h2.n))
+        and len(h1.edges) == len(h2.edges)
+        and all(h2.has_edge(m[u], m[v]) for u, v in h1.edges)
+    )
+
+
+@pytest.mark.parametrize("relabel", ["identity", "reversed", "shuffled"])
+def test_isomorphism_of_long_paths_needs_no_recursion(relabel):
+    n = sys.getrecursionlimit() + 100
+    p = graph(n, [(i, i + 1) for i in range(n - 1)])
+    perm = list(range(n))
+    if relabel == "reversed":
+        perm.reverse()
+    elif relabel == "shuffled":
+        random.Random(3).shuffle(perm)
+    q = graph(n, [(perm[u], perm[v]) for u, v in p.edges])
+    m = is_isomorphic(p, q)
+    assert m is not None and _is_isomorphism(p, q, m)
+
+
+def test_isomorphism_matches_brute_force():
+    rng = random.Random(11)
+    found = missed = 0
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        h1 = random_graph(rng, n, rng.random(), rng.random())
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h2 = graph(n, [(perm[u], perm[v]) for u, v in h1.edges])
+        if n and rng.random() < 0.5:  # toggle one pair, often keeping the invariants
+            u, v = sorted((rng.randrange(n), rng.randrange(n)))
+            h2 = graph(n, h2.edges ^ {(u, v)})
+        exists = any(_is_isomorphism(h1, h2, dict(enumerate(p))) for p in permutations(range(n)))
+        m = is_isomorphic(h1, h2)
+        assert (m is not None) == exists
+        if m is not None:
+            assert _is_isomorphism(h1, h2, m)
+        found += exists
+        missed += not exists
+    assert found >= 150 and missed >= 100

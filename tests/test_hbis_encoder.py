@@ -1,10 +1,15 @@
+import random
+from itertools import product
+
 import pytest
 
 from retlab.graph_core import graph, is_isomorphic
 from retlab.structure import recognize_hbis
 from retlab.hbis_encoder import (
+    MAX_CSP_VARIABLES,
     AssignmentKind,
     EncodingError,
+    ImpCspInstance,
     build_hve,
     build_instances,
     bristle_assignment,
@@ -124,3 +129,42 @@ def test_bristle_assignment_shape():
     sigma = bristle_assignment(dec, 1, 1, 3)
     kind = classify_assignment(dec, sigma)
     assert kind.kind == "bristle" and kind.joint == 1
+
+
+def _ref_assignments(inst):
+    """Every 0/1 vector in lexicographic order, kept when it satisfies
+    every implication."""
+    pos = {x: i for i, x in enumerate(inst.variables)}
+    return [
+        dict(zip(inst.variables, values))
+        for values in product((0, 1), repeat=len(inst.variables))
+        if all(values[pos[u]] <= values[pos[v]] for u, v in inst.constraints)
+    ]
+
+
+def test_satisfying_assignments_match_brute_force():
+    rng = random.Random(12)
+    both_ways = 0
+    for _ in range(500):
+        k = rng.randint(0, 8)
+        variables = tuple(rng.sample(range(20), k))
+        constraints = frozenset(
+            (rng.choice(variables), rng.choice(variables))
+            for _ in range(rng.randint(0, 2 * k) if k else 0)
+        )
+        inst = ImpCspInstance(variables, constraints)
+        assert satisfying_assignments(inst) == _ref_assignments(inst)
+        rank = {x: i for i, x in enumerate(variables)}
+        both_ways += len({rank[u] < rank[v] for u, v in constraints if u != v}) == 2
+    assert both_ways >= 200
+
+
+def test_assignment_limit():
+    chain = tuple(range(MAX_CSP_VARIABLES))
+    inst = ImpCspInstance(chain, frozenset(zip(chain[1:], chain)))
+    assert len(satisfying_assignments(inst)) == MAX_CSP_VARIABLES + 1
+    big = ImpCspInstance(tuple(range(MAX_CSP_VARIABLES + 1)), frozenset())
+    with pytest.raises(ValueError, match="too many variables"):
+        satisfying_assignments(big)
+    with pytest.raises(ValueError, match="too many variables"):
+        build_hve(big, big)

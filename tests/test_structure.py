@@ -10,6 +10,7 @@ from retlab import structure
 from retlab.gadget_lab import make_net, make_triangle_extended
 from retlab.graph_core import graph
 from retlab.structure import (
+    SQUARE,
     StructuralWitness,
     classify_component_shape,
     find_induced_net,
@@ -396,3 +397,24 @@ def test_triangle_extended_tries_few_apex_sets(monkeypatch):
     dec = recognize_triangle_extended(h)
     assert dec.core == tuple(range(20))
     assert dec.apex_map == tuple((i, 20 + i) for i in range(18))
+
+
+def _ref_square(h):
+    """All vertex pairs u < v in order; the first with two shared
+    neighbours a < b gives the square u-a-v-b."""
+    for u, v in combinations(range(h.n), 2):
+        shared = sorted((h.neighbours(u) & h.neighbours(v)) - {u, v})
+        if len(shared) >= 2:
+            return StructuralWitness(SQUARE, frozenset({u, v, shared[0], shared[1]}))
+    return None
+
+
+def test_find_square_matches_all_pairs():
+    rng = random.Random(6)
+    squares = 0
+    for _ in range(2000):
+        h = random_graph(rng, rng.randint(0, 10), rng.random(), rng.choice([0.1, 0.2, 0.35, 0.6]))
+        w = find_square(h)
+        assert w == _ref_square(h)
+        squares += w is not None
+    assert 400 <= squares <= 1600
