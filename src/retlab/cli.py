@@ -29,7 +29,6 @@ from .hbis_encoder import (
 )
 from .structure import recognize_hbis, recognize_triangle_extended
 from .gadget_lab import (
-    TYPE_COUNT_BUDGET,
     check_kelk_condition,
     count_type,
     enumerate_maximal_types,
@@ -183,18 +182,16 @@ def _cmd_types_table(args):
     h = _read_graph(args.graph)
     types = enumerate_maximal_types(h)
     j = make_j_graph(args.p, args.q, args.t)
-    feasible = h.n**j.graph.n <= TYPE_COUNT_BUDGET
     for i, t in enumerate(types):
         t1, t2, t3 = t.sort_key()
-        line = "type %d T1=%s T2=%s T3=%s nhat=%d" % (
+        line = "type %d T1=%s T2=%s T3=%s nhat=%d n=%d" % (
             i,
             ",".join(map(str, t1)),
             ";".join("%d-%d" % p for p in t2),
             ",".join(map(str, t3)),
             nhat(t, args.p, args.q, args.t),
+            count_type(t, j, h),
         )
-        if feasible:
-            line += " n=%d" % count_type(t, j, h)
         print(line)
     return 0
 

@@ -9,6 +9,11 @@ Type conventions: a "type" of a homomorphism from the four-layer gadget
 J(p, q, t) is the triple (image of A, matched image pairs of (B, B'),
 image of A').  The matched-pair reading is deliberate: only matched
 B-B' pairs are edges of J, so only those pairs carry information.
+
+Maximal types and the two-dominant-state check are read off one list:
+the closed sets of cn o cn, where cn is the common-neighbourhood
+operator, listed by Ganter's NextClosure.  Per-type counts are products
+of surjection counts, with no enumeration.
 """
 
 from dataclasses import dataclass, field
@@ -32,9 +37,10 @@ from .counting import (
 )
 from .structure import is_degree2_bristle, universal_vertices
 
-MAX_TYPE_VERTICES = 16
-# count_type refuses a (target, J) pair with more than this many maps.
-TYPE_COUNT_BUDGET = 10**6
+# The most closed sets _closed_sets lists; 16 vertices never reach it.
+MAX_CLOSED_SETS = 2**16
+# find_dominance_params gives up after this many mediant probes.
+MAX_MEDIANT_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +162,6 @@ class HType:
     def b2_side(self):
         return frozenset(y for _, y in self.t2)
 
-    def contains(self, other):
-        return (
-            other.t1 <= self.t1 and other.t2 <= self.t2 and other.t3 <= self.t3
-        )
-
     def symmetric(self):
         return HType(self.t3, frozenset((y, x) for x, y in self.t2), self.t1)
 
@@ -181,11 +182,14 @@ def htype_of(h, j, target):
 
 
 def is_nonempty_type(t, j, target):
-    """The three conditions for a type to be realized by some
-    homomorphism from j.graph: all parts non-empty, T1 completely joined
-    to the B-side, and the B'-side completely joined to T3."""
-    del j  # realizability does not depend on the gadget's dimensions
+    """The conditions for a type to be realized by some homomorphism from
+    a gadget with enough vertices in each layer: all parts non-empty,
+    every T2 pair an edge, T1 completely joined to the B-side, and the
+    B'-side completely joined to T3."""
+    del j  # the layer sizes enter only count_type's surjection counts
     if not (t.t1 and t.t2 and t.t3):
+        return False
+    if any(not target.has_edge(x, y) for x, y in t.t2):
         return False
     if any(not target.has_edge(x, y) for x in t.t1 for y in t.b_side):
         return False
@@ -217,14 +221,33 @@ def _cn_operator(h):
 
 def _closed_sets(h):
     """Non-empty vertex sets fixed by applying the common-neighbourhood
-    operator twice (and whose common neighbourhood is non-empty)."""
+    operator cn twice (and whose common neighbourhood is non-empty), as
+    bitmasks in lectic order, together with cn.
+
+    Ganter's NextClosure: the set after a closed set A is the closure B
+    of (A & {0..i-1}) | {i} for the largest i not in A for which
+    B & {0..i-1} = A & {0..i-1}.  Each set costs at most n closures.
+    Raises ValueError once more than MAX_CLOSED_SETS sets are listed.
+    """
     cn = _cn_operator(h)
     closed = []
-    for mask in range(1, 1 << h.n):
-        first = cn(mask)
-        if first and cn(first) == mask:
+    mask = cn(cn(0))
+    while True:
+        if mask and cn(mask):
+            if len(closed) == MAX_CLOSED_SETS:
+                raise ValueError("more than %d closed sets" % MAX_CLOSED_SETS)
             closed.append(mask)
-    return closed, cn
+        for i in reversed(range(h.n)):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            low = mask & (bit - 1)
+            nxt = cn(cn(low | bit))
+            if (nxt & (bit - 1)) == low:
+                mask = nxt
+                break
+        else:
+            return closed, cn
 
 
 def _mask_to_set(mask):
@@ -240,42 +263,27 @@ def enumerate_maximal_types(h):
     """All maximal types for homomorphisms from the four-layer gadget to
     h, deduplicated up to symmetry (swapping the two halves).
 
-    Candidates are pairs (B, B') of common-neighbourhood-closed sets that
-    cover each other through edges; each candidate is completed to
-    (cn(B), E(B, B'), cn(B')) and maximality is cross-checked by
-    pairwise containment.
+    The types are the pairs (B, B') of closed sets that cover each other
+    through edges, each completed to (cn(B), E(B, B'), cn(B')).  Covering
+    makes B the B-side of E(B, B'), so none contains another: from
+    t >= u follow B_t >= B_u and cn(B_t) >= cn(B_u), and as cn reverses
+    inclusion, cn(B_t) = cn(B_u), so the closed sets B_t and B_u are
+    equal; likewise B'_t = B'_u, and then t = u.  The pair (B', B)
+    gives the symmetric type, so each unordered pair is visited once and
+    its type kept in the orientation with the smaller sort key.
     """
-    if h.n > MAX_TYPE_VERTICES:
-        raise ValueError("graph too large for type enumeration")
     closed, cn = _closed_sets(h)
-    candidates = []
-    for bmask in closed:
-        bset = _mask_to_set(bmask)
-        for b2mask in closed:
-            b2set = _mask_to_set(b2mask)
-            if any(not (h.neighbours(x) & b2set) for x in bset):
-                continue
-            if any(not (h.neighbours(y) & bset) for y in b2set):
-                continue
+    sides = [(_mask_to_set(m), _mask_to_set(cn(m))) for m in closed]
+    out = []
+    for i, (bset, t1) in enumerate(sides):
+        for b2set, t3 in sides[i:]:
             t2 = frozenset(
                 (x, y) for x in bset for y in b2set if h.has_edge(x, y)
             )
-            candidates.append(
-                HType(_mask_to_set(cn(bmask)), t2, _mask_to_set(cn(b2mask)))
-            )
-    maximal = [
-        t
-        for t in candidates
-        if not any(t is not u and u.contains(t) and u != t for u in candidates)
-    ]
-    out = []
-    seen = set()
-    for t in sorted(maximal, key=HType.sort_key):
-        key = min(tuple(map(tuple, t.sort_key())), tuple(map(tuple, t.symmetric().sort_key())))
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
+            t = HType(t1, t2, t3)
+            if t.b_side == bset and t.b2_side == b2set:  # B, B' cover
+                out.append(min(t, t.symmetric(), key=HType.sort_key))
+    return sorted(out, key=HType.sort_key)
 
 
 def nhat(t, p, q, tt):
@@ -286,21 +294,20 @@ def nhat(t, p, q, tt):
 
 
 def count_type(t, j, target):
-    """Exact number of homomorphisms from j.graph to target of type t, by
-    enumerating those that map A, B, B' and A' into T1, the B-side, the
-    B'-side and T3 and keeping the ones of type t."""
-    if target.n ** j.graph.n > TYPE_COUNT_BUDGET:
-        raise ValueError("instance too large to enumerate")
-    lists = [None] * j.graph.n
-    sides = ((j.a, t.t1), (j.b, t.b_side), (j.b2, t.b2_side), (j.a2, t.t3))
-    for layer, side in sides:
-        for v in layer:
-            lists[v] = side
-    total = 0
-    for h in iter_list_homs(j.graph, lists, target):
-        if htype_of(h, j, target) == t:
-            total += 1
-    return total
+    """Exact number of homomorphisms from j.graph to target of type t.
+
+    A map of type t sends A onto T1, the matched pairs of (B, B') onto
+    T2 and A' onto T3.  Every map with exactly these images is a
+    homomorphism when t is realizable (is_nonempty_type) and none is
+    otherwise, so the count is a product of three surjection counts.
+    """
+    if not is_nonempty_type(t, j, target):
+        return 0
+    return (
+        stirling2(len(j.a), len(t.t1))
+        * stirling2(len(j.b), len(t.t2))
+        * stirling2(len(j.a2), len(t.t3))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +342,13 @@ def _dominance_rows(variant, k1):
     rows = [
         (len(t.t1) * len(t.t3), len(t.t2)) for t in enumerate_maximal_types(h)
     ]
-    dominant = [r for r in rows if r == dominant_sig]
-    if len(dominant) != 1:
+    if rows.count(dominant_sig) != 1:
         raise AssertionError("dominant row not identified uniquely")
     others = [r for r in rows if r != dominant_sig]
     return dominant_sig, others
 
 
-def _satisfied(row, dom, p, q):
-    a, c = row
-    ad, cd = dom
-    return a**p * c**q < ad**p * cd**q
-
-
-def find_dominance_params(variant, k1, max_steps=64):
+def find_dominance_params(variant, k1):
     """Positive integers p, q making the designated table row dominate
     every other row of its maximal-type table, with the largest t=1
     ratio as an exact certificate.
@@ -356,17 +356,27 @@ def find_dominance_params(variant, k1, max_steps=64):
     The ratio q/p is located by mediant (Stern-Brocot) search, so the
     returned pair minimizes p + q.  All comparisons are exact integer
     power comparisons; an unsatisfiable system raises EmptyIntervalError.
+    Two rows with a a' = ad^2 and c c' = cd^2 pin q/p from both sides
+    with the same bases, (a/ad)^p < (cd/c)^q and its reverse; their
+    ratios multiply to 1 for every p, q, so they raise before the search.
     """
     dom, others = _dominance_rows(variant, k1)
     ad, cd = dom
+    for i, (a, c) in enumerate(others):
+        for a2, c2 in others[i + 1 :]:
+            if a * a2 == ad * ad and c * c2 == cd * cd:
+                raise EmptyIntervalError(
+                    "rows (%d, %d) and (%d, %d) pin q/p from both sides"
+                    % (a, c, a2, c2)
+                )
     lo = (0, 1)  # q/p as (numerator, denominator)
     hi = (1, 0)
-    for _ in range(max_steps):
+    for _ in range(MAX_MEDIANT_STEPS):
         num, den = lo[0] + hi[0], lo[1] + hi[1]
         p, q = den, num
         need_larger = need_smaller = False
         for a, c in others:
-            if _satisfied((a, c), dom, p, q):
+            if a**p * c**q < ad**p * cd**q:
                 continue
             if c < cd:
                 need_larger = True  # ratio too small for this row
@@ -394,7 +404,7 @@ def find_dominance_params(variant, k1, max_steps=64):
                 variant, k1, p, q, gamma, (dom,) + tuple(others)
             )
     raise EmptyIntervalError(
-        "no admissible ratio within %d mediant steps" % max_steps
+        "no admissible ratio within %d mediant steps" % MAX_MEDIANT_STEPS
     )
 
 
@@ -1037,35 +1047,27 @@ def verify_cycle_gadget(h, core, ell):
 
 
 def check_kelk_condition(h):
-    """Exhaustive test of the two-dominant-state criterion.
+    """Test of the two-dominant-state criterion over closed pairs.
 
     Returns (True, None) when every mutually-covering pair (S, T) has
     S = F or T = F for the universal set F, or satisfies |S||T| < |F||V|;
     otherwise (False, (S, T)) with a counterexample.  Requires a proper
     non-empty universal set.
+
+    Only the closed pairs (S, cn(S)) are tested, in increasing order of
+    the bitmask of S, the order of a scan over all pairs.  That loses
+    nothing: a counterexample (S, T) grows to the closed pair
+    (cn(cn(S)), cn(S)), whose product is no smaller, and neither side is
+    F, since a side equal to F would strictly contain S or T and so
+    force the other side past |V| vertices.
     """
-    if h.n > MAX_TYPE_VERTICES:
-        raise ValueError("graph too large for exhaustive pair scan")
     f = universal_vertices(h)
     if not f or len(f) == h.n:
         raise ValueError("universal set must be proper and non-empty")
-    cn = _cn_operator(h)
-    fmask = 0
-    for v in f:
-        fmask |= 1 << v
+    closed, cn = _closed_sets(h)
     bound = len(f) * h.n
-    for smask in range(1, 1 << h.n):
-        t_allowed = cn(smask)
-        ssize = bin(smask).count("1")
-        # Enumerate T as submasks of the common neighbourhood of S.
-        tmask = t_allowed
-        while tmask:
-            if smask & ~cn(tmask) == 0:  # S inside common nbhd of T
-                if (
-                    smask != fmask
-                    and tmask != fmask
-                    and ssize * bin(tmask).count("1") >= bound
-                ):
-                    return False, (_mask_to_set(smask), _mask_to_set(tmask))
-            tmask = (tmask - 1) & t_allowed
+    for smask in sorted(closed):
+        s, t = _mask_to_set(smask), _mask_to_set(cn(smask))
+        if f not in (s, t) and len(s) * len(t) >= bound:
+            return False, (s, t)
     return True, None

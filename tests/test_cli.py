@@ -105,8 +105,11 @@ def test_gadget_verify_kelk(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("PASS kelk")
     code, out, _ = run_cli(capsys, monkeypatch, ["gadget-verify", "kelk", bad])
     assert code == 1
-    assert out.startswith("FAIL kelk")
-    assert "counterexample S=" in out
+    assert out == "FAIL kelk lhs=0 rhs=1\ncounterexample S=[0, 2, 3] T=[0, 2, 3]\n"
+    # 17 vertices, past the old 16-vertex cap
+    big = write_graph(tmp_path, "big.graph", make_x_graph(14, 0, 1))
+    code, out, _ = run_cli(capsys, monkeypatch, ["gadget-verify", "kelk", big])
+    assert code == 0 and out == "PASS kelk lhs=1 rhs=1\n"
 
 
 def test_gadget_verify_cycle(tmp_path, capsys, monkeypatch):
@@ -128,6 +131,21 @@ def test_types_table_deterministic(tmp_path, capsys, monkeypatch):
     assert out1 == out2
     assert len(out1.splitlines()) == 6
     assert all(line.startswith("type ") for line in out1.splitlines())
+    # J(1, 1, 3) has 12 vertices: every line still carries its exact count
+    code, out, _ = run_cli(capsys, monkeypatch, ["types-table", path, "--t", "3"])
+    assert code == 0
+    assert all(" n=" in line for line in out.splitlines())
+
+
+def test_closed_set_limit_is_usage_error(tmp_path, capsys, monkeypatch):
+    from retlab import gadget_lab
+
+    path = write_graph(tmp_path, "x.graph", gadget_lab.make_x_graph(2, 2, 1))
+    monkeypatch.setattr(gadget_lab, "MAX_CLOSED_SETS", 4)
+    for argv in (["types-table", path], ["gadget-verify", "kelk", path]):
+        code, out, err = run_cli(capsys, monkeypatch, argv)
+        assert code == 2 and out == ""
+        assert "more than 4 closed sets" in err
 
 
 def test_cuts(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from retlab import gadget_lab
 from retlab.graph_core import graph, neighbourhood
 from retlab.counting import count_homs, full_lists, iter_list_homs
+from retlab.structure import universal_vertices
 from retlab.gadget_lab import (
     EmptyIntervalError,
+    HType,
     check_kelk_condition,
     count_type,
     decompose_ball,
@@ -30,6 +34,51 @@ from retlab.gadget_lab import (
 )
 
 from conftest import irreflexive_path, reflexive_cycle
+
+
+def random_graph(rng, n, universal=False):
+    """A random graph with loops; vertex 0 is looped and universal if asked."""
+    p = rng.random()
+    edges = [(u, v) for u in range(n) for v in range(u, n) if rng.random() < p]
+    if universal:
+        edges += [(0, v) for v in range(n)]
+    return graph(n, edges)
+
+
+def cn_mask(h, mask):
+    """Common neighbourhood of a vertex bitmask; every vertex for 0."""
+    out = (1 << h.n) - 1
+    for v in range(h.n):
+        if mask >> v & 1:
+            out &= sum(1 << u for u in h.neighbours(v))
+    return out
+
+
+def closed_by_scan(h):
+    """The 2^n oracle: every non-empty mask B with cn(B) non-empty and
+    cn(cn(B)) = B."""
+    return [
+        m
+        for m in range(1, 1 << h.n)
+        if cn_mask(h, m) and cn_mask(h, cn_mask(h, m)) == m
+    ]
+
+
+def kelk_by_pair_scan(h, f):
+    """The exhaustive oracle: the first counterexample (S, T) as masks,
+    or None, over every non-empty S and every non-empty T inside cn(S)
+    with S inside cn(T)."""
+    fmask = sum(1 << v for v in f)
+    bound = len(f) * h.n
+    for s in range(1, 1 << h.n):
+        allowed = cn_mask(h, s)
+        t = allowed
+        while t:
+            if s & ~cn_mask(h, t) == 0 and fmask not in (s, t):
+                if bin(s).count("1") * bin(t).count("1") >= bound:
+                    return s, t
+            t = (t - 1) & allowed
+    return None
 
 
 # -- graph families ---------------------------------------------------------
@@ -86,11 +135,15 @@ def test_htype_rejects_non_homs():
 
 
 def test_types_partition_all_homs():
-    for h, pqt in (
+    rng = random.Random(5)
+    cases = [
         (make_x_graph(1, 0, 1), (1, 1, 1)),
         (make_x_graph(1, 1, 1), (1, 1, 1)),
         (make_x_graph(1, 0, 1), (1, 2, 1)),
-    ):
+    ]
+    cases += [(random_graph(rng, rng.randint(1, 4)), (1, 1, 1)) for _ in range(12)]
+    cases += [(random_graph(rng, 3), (1, 2, 1)) for _ in range(3)]
+    for h, pqt in cases:
         j = make_j_graph(*pqt)
         by_type = {}
         for hom in iter_list_homs(j.graph, full_lists(j.graph, h), h):
@@ -101,6 +154,20 @@ def test_types_partition_all_homs():
             assert is_nonempty_type(t, j, h)
             # every per-type count against the full enumeration
             assert count_type(t, j, h) == by_type[t]
+        # random types, mostly not realized, count what enumeration finds
+        vs = range(h.n)
+        for _ in range(10):
+            t = HType(
+                frozenset(v for v in vs if rng.random() < 0.5),
+                frozenset((x, y) for x in vs for y in vs if rng.random() < 0.3),
+                frozenset(v for v in vs if rng.random() < 0.5),
+            )
+            assert count_type(t, j, h) == by_type.get(t, 0)
+    # a T2 pair that is not an edge: vertex 1 of X(1, 0, 1) is unlooped
+    h, j = make_x_graph(1, 0, 1), make_j_graph(1, 1, 1)
+    t = HType(frozenset({0}), frozenset({(1, 1)}), frozenset({0}))
+    assert not is_nonempty_type(t, j, h)
+    assert count_type(t, j, h) == 0
 
 
 def test_maximal_types_match_printed_tables():
@@ -109,7 +176,7 @@ def test_maximal_types_match_printed_tables():
         l1, l3 = sorted((len(t.t1), len(t.t3)), reverse=True)
         return (l1, len(t.t2), l3)
 
-    for k1 in range(1, 8):
+    for k1 in list(range(1, 8)) + [14]:  # X(14, 0, 1) has 17 vertices
         types = enumerate_maximal_types(make_x_graph(k1, 0, 1))
         sizes = sorted(sig(t) for t in types)
         expected = sorted(
@@ -126,6 +193,38 @@ def test_maximal_types_match_printed_tables():
     for k1 in range(3, 7):
         types = enumerate_maximal_types(make_x_graph(k1, 1, 1))
         assert len(types) == 10
+
+
+def test_closed_sets_match_mask_scan():
+    rng = random.Random(9)
+    for _ in range(150):
+        h = random_graph(rng, rng.randint(1, 10), universal=rng.random() < 0.5)
+        closed, _ = gadget_lab._closed_sets(h)
+        assert sorted(closed) == closed_by_scan(h)
+        for a, b in zip(closed, closed[1:]):
+            low = (a ^ b) & -(a ^ b)
+            assert b & low  # lectic order: b has the least differing vertex
+
+
+def test_maximal_types_contain_no_other():
+    rng = random.Random(13)
+    for _ in range(40):
+        h = random_graph(rng, rng.randint(1, 6))
+        types = enumerate_maximal_types(h)
+        both = set(types) | {t.symmetric() for t in types}
+        for t in both:
+            for u in both:
+                if t != u:
+                    assert not (u.t1 <= t.t1 and u.t2 <= t.t2 and u.t3 <= t.t3)
+
+
+def test_closed_set_limit_raises(monkeypatch):
+    h = make_x_graph(2, 2, 1)  # more than four closed sets
+    monkeypatch.setattr(gadget_lab, "MAX_CLOSED_SETS", 4)
+    with pytest.raises(ValueError, match="more than 4 closed sets"):
+        enumerate_maximal_types(h)
+    with pytest.raises(ValueError, match="more than 4 closed sets"):
+        check_kelk_condition(h)
 
 
 def test_nhat_formula():
@@ -173,6 +272,15 @@ def test_dominance_t9_success_and_failure():
     for k1 in (1, 2):
         with pytest.raises(EmptyIntervalError):
             find_dominance_params("T9", k1)
+    # (9, 9) and (1, 16) against (3, 12): ratios multiplying to 1
+    with pytest.raises(EmptyIntervalError, match=r"\(1, 16\) and \(9, 9\)"):
+        find_dominance_params("T9", 2)
+
+
+def test_dominance_fails_past_the_old_vertex_cap():
+    for variant in ("T5", "T9"):
+        with pytest.raises(EmptyIntervalError):
+            find_dominance_params(variant, 14)
 
 
 def test_dominance_rejects_bad_variant():
@@ -348,6 +456,33 @@ def test_kelk_pass_and_fail():
     assert s <= common_neighbours(make_x_graph(1, 0, 1), t)
     assert t <= common_neighbours(make_x_graph(1, 0, 1), s)
     assert len(s) * len(t) >= 1 * 4
+    assert (s, t) == ({0, 2, 3}, {0, 2, 3})  # the closed pair
+    assert check_kelk_condition(make_x_graph(14, 0, 1)) == (True, None)
+
+
+def test_kelk_matches_pair_scan():
+    from retlab.graph_core import common_neighbours
+
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(120):
+        h = random_graph(rng, rng.randint(2, 8), universal=True)
+        f = universal_vertices(h)
+        if len(f) == h.n:
+            continue
+        ok, ce = check_kelk_condition(h)
+        first = kelk_by_pair_scan(h, f)
+        assert ok == (first is None)
+        verdicts.add(ok)
+        if not ok:
+            s, t = ce
+            assert s == common_neighbours(h, t) and t == common_neighbours(h, s)
+            assert f not in (s, t) and len(s) * len(t) >= len(f) * h.n
+            if cn_mask(h, first[0]) == first[1] and cn_mask(h, first[1]) == first[0]:
+                # the scan met a closed pair first: the same pair
+                masks = (sum(1 << v for v in s), sum(1 << v for v in t))
+                assert masks == first
+    assert verdicts == {True, False}
 
 
 def test_kelk_requires_proper_universal_set():
